@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff
+from .weyl import OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate
 
 
 class UnsolvableLevel(Exception):
@@ -47,6 +47,10 @@ def _fold_gamma(p: int, k: int) -> tuple[int, int]:
     return (-1 if q % 2 else 1), r
 
 
+# the symbols RingElem.subs and RingElem.poly_in accept, by key position
+_SYMBOLS = ("g", "b", "r")
+
+
 class RingElem:
     """Polynomial in g, b, r and the c_n, with ParamPoly coefficients.
 
@@ -59,24 +63,22 @@ class RingElem:
 
     def __init__(self, terms=None, modulus: int | None = None):
         self.modulus = modulus
-        out = {}
-        for key, p in (terms or {}).items():
-            if not p:
-                continue
-            gp, bx, rx, cm = key
+        self.terms = {}
+        for (gp, bx, rx, cm), p in (terms or {}).items():
             if modulus is not None:
                 sign, gp = _fold_gamma(gp, modulus)
                 if sign < 0:
                     p = -p
-            nk = (gp, bx, rx, cm)
-            s = out.get(nk, P_ZERO) + p
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-        self.terms = out
+            accumulate(self.terms, (gp, bx, rx, cm), p)
 
     # -- constructors
+    @classmethod
+    def _wrap(cls, terms, modulus=None):
+        # adopt a dict whose keys are already reduced and whose values are nonzero
+        e = cls.__new__(cls)
+        e.terms, e.modulus = terms, modulus
+        return e
+
     @classmethod
     def zero(cls, modulus=None):
         return cls({}, modulus)
@@ -147,14 +149,8 @@ class RingElem:
         self._check(other)
         out = dict(self.terms)
         for k, p in other.terms.items():
-            s = out.get(k, P_ZERO) + p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        e = RingElem.zero(self.modulus)
-        e.terms = out
-        return e
+            accumulate(out, k, p)
+        return RingElem._wrap(out, self.modulus)
 
     def __sub__(self, other):
         return self + (-other)
@@ -165,12 +161,7 @@ class RingElem:
         for (g1, b1, r1, c1), p1 in self.terms.items():
             for (g2, b2, r2, c2), p2 in other.terms.items():
                 key = (g1 + g2, b1 + b2, r1 + r2, tuple(sorted(c1 + c2)))
-                prod = p1 * p2
-                s = out.get(key, P_ZERO) + prod
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, key, p1 * p2)
         return RingElem(out, self.modulus)
 
     def __pow__(self, n: int):
@@ -192,128 +183,51 @@ class RingElem:
         q = Fraction(q)
         if not q:
             return RingElem.zero(self.modulus)
-        e = RingElem.zero(self.modulus)
-        e.terms = {k: p.scale(q) for k, p in self.terms.items()}
-        return e
+        return RingElem._wrap({k: p.scale(q) for k, p in self.terms.items()}, self.modulus)
 
     def reduce(self, k: int) -> "RingElem":
         """Impose g^k = -1 (enter the quotient ring)."""
         return RingElem(self.terms, k)
 
-    # -- fast prefactor shifts used by the series derivative rule
-    def mul_gamma(self):
-        e = RingElem.zero(self.modulus)
-        if self.modulus is None:
-            e.terms = {(g + 1, b, r, c): p for (g, b, r, c), p in self.terms.items()}
-            return e
-        return self * RingElem.gamma(1, self.modulus)
-
-    def mul_beta(self):
-        e = RingElem.zero(self.modulus)
-        e.terms = {(g, b + 1, r, c): p for (g, b, r, c), p in self.terms.items()}
-        return e
-
-    def mul_rho_plus(self, offset: int):
-        out = {}
-        for (g, b, r, c), p in self.terms.items():
-            k1 = (g, b, r + 1, c)
-            s = out.get(k1, P_ZERO) + p
-            if s:
-                out[k1] = s
-            else:
-                out.pop(k1, None)
-            if offset:
-                k0 = (g, b, r, c)
-                s = out.get(k0, P_ZERO) + p.scale(offset)
-                if s:
-                    out[k0] = s
-                else:
-                    out.pop(k0, None)
-        e = RingElem.zero(self.modulus)
-        e.terms = out
-        return e
-
     # -- substitutions
-    def subs_gamma(self, value: "RingElem") -> "RingElem":
-        self._check(value)
-        powers = {0: RingElem.one(self.modulus)}
-
-        def pw(n):
-            if n not in powers:
-                powers[n] = pw(n - 1) * value
-            return powers[n]
-
-        out = RingElem.zero(self.modulus)
-        for (g, b, r, c), p in self.terms.items():
-            e = RingElem.zero(self.modulus)
-            e.terms = {(0, b, r, c): p}
-            out = out + e * pw(g)
-        return out
-
-    def subs_b(self, value: "RingElem") -> "RingElem":
-        self._check(value)
-        powers = {0: RingElem.one(self.modulus)}
-
-        def pw(n):
-            if n not in powers:
-                powers[n] = pw(n - 1) * value
-            return powers[n]
-
-        out = RingElem.zero(self.modulus)
-        for (g, b, r, c), p in self.terms.items():
-            e = RingElem.zero(self.modulus)
-            e.terms = {(g, 0, r, c): p}
-            out = out + e * pw(b)
-        return out
-
-    def subs_r(self, value) -> "RingElem":
+    def _subs(self, value, split) -> "RingElem":
+        # sum of rest * value^n over the terms, where split(key) = (n, rest)
         if not isinstance(value, RingElem):
             value = RingElem.from_param(
                 value if isinstance(value, ParamPoly) else ParamPoly.rational(value),
                 self.modulus)
         self._check(value)
-        powers = {0: RingElem.one(self.modulus)}
+        powers = [RingElem.one(self.modulus)]
+        out = {}
+        for key, p in self.terms.items():
+            n, rest = split(key)
+            if n == 0:
+                accumulate(out, rest, p)
+                continue
+            while len(powers) <= n:
+                powers.append(powers[-1] * value)
+            for key2, q in (RingElem._wrap({rest: p}, self.modulus) * powers[n]).terms.items():
+                accumulate(out, key2, q)
+        return RingElem._wrap(out, self.modulus)
 
-        def pw(n):
-            if n not in powers:
-                powers[n] = pw(n - 1) * value
-            return powers[n]
-
-        out = RingElem.zero(self.modulus)
-        for (g, b, r, c), p in self.terms.items():
-            e = RingElem.zero(self.modulus)
-            e.terms = {(g, b, 0, c): p}
-            out = out + e * pw(r)
-        return out
+    def subs(self, symbol: str, value) -> "RingElem":
+        """Substitute value (a RingElem, ParamPoly or rational) for g, b or r."""
+        i = _SYMBOLS.index(symbol)
+        return self._subs(value, lambda key: (key[i], key[:i] + (0,) + key[i + 1:]))
 
     def subs_c(self, n: int, value) -> "RingElem":
-        if not isinstance(value, RingElem):
-            value = RingElem.from_param(
-                value if isinstance(value, ParamPoly) else ParamPoly.rational(value),
-                self.modulus)
-        self._check(value)
-        out = RingElem.zero(self.modulus)
-        for (g, b, r, c), p in self.terms.items():
-            mult = c.count(n)
-            rest = tuple(i for i in c if i != n)
-            e = RingElem.zero(self.modulus)
-            e.terms = {(g, b, r, rest): p}
-            out = out + e * value ** mult
-        return out
+        """Substitute value for the tail coefficient c_n."""
+        return self._subs(value, lambda key: (
+            key[3].count(n), key[:3] + (tuple(i for i in key[3] if i != n),)))
 
     # -- views
-    def poly_in_b(self) -> dict[int, "RingElem"]:
+    def poly_in(self, symbol: str) -> dict[int, "RingElem"]:
+        """Coefficients of the powers of g, b or r: {power: RingElem}."""
+        i = _SYMBOLS.index(symbol)
         out: dict[int, RingElem] = {}
-        for (g, b, r, c), p in self.terms.items():
-            e = out.setdefault(b, RingElem.zero(self.modulus))
-            e.terms[(g, 0, r, c)] = e.terms.get((g, 0, r, c), P_ZERO) + p
-        return out
-
-    def poly_in_r(self) -> dict[int, "RingElem"]:
-        out: dict[int, RingElem] = {}
-        for (g, b, r, c), p in self.terms.items():
-            e = out.setdefault(r, RingElem.zero(self.modulus))
-            e.terms[(g, b, 0, c)] = e.terms.get((g, b, 0, c), P_ZERO) + p
+        for key, p in self.terms.items():
+            rest = key[:i] + (0,) + key[i + 1:]
+            out.setdefault(key[i], RingElem.zero(self.modulus)).terms[rest] = p
         return out
 
     def linear_in_c(self, n: int) -> tuple["RingElem", "RingElem"]:
@@ -343,18 +257,12 @@ class RingElem:
             nv = -(c * u[-1])
             u.append(nu)
             v.append(nv)
-        out = RingElem.zero(self.modulus)
+        out = {}
         for (g, bx, r, cm), p in self.terms.items():
             for rr, w in ((1, u[r]), (0, v[r])):
-                if not w:
-                    continue
-                key = (g, bx, rr, cm)
-                s = out.terms.get(key, P_ZERO) + p * w
-                if s:
-                    out.terms[key] = s
-                else:
-                    out.terms.pop(key, None)
-        return out
+                if w:
+                    accumulate(out, (g, bx, rr, cm), p * w)
+        return RingElem._wrap(out, self.modulus)
 
     # -- unit division
     def is_unit_monomial(self) -> bool:
@@ -419,9 +327,9 @@ class RingElem:
 class AnsatzSeries:
     """Window of series coefficients for e^(g z^2/2 + b z) z^r sum p_j z^(s-j).
 
-    terms[i] is the RingElem coefficient of z^(r + s - i); the window keeps
-    exactly depth+1 slots, so each derivative raises s by one and drops the
-    slot that falls below the window.
+    terms[i] is the free-ring (modulus None) RingElem coefficient of
+    z^(r + s - i); the window keeps exactly depth+1 slots, so each derivative
+    raises s by one and drops the slot that falls below the window.
     """
 
     __slots__ = ("s", "terms", "depth")
@@ -445,17 +353,18 @@ class AnsatzSeries:
 
     def deriv(self) -> "AnsatzSeries":
         # d/dz: c at offset e -> g*c at e+1, b*c at e, (r+e)*c at e-1
-        new = [RingElem.zero() for _ in range(self.depth + 1)]
+        new = [{} for _ in range(self.depth + 1)]
         for i, c in enumerate(self.terms):
-            if c.is_zero():
-                continue
             e = self.s - i
-            new[i] = new[i] + c.mul_gamma()
-            if i + 1 <= self.depth:
-                new[i + 1] = new[i + 1] + c.mul_beta()
-            if i + 2 <= self.depth:
-                new[i + 2] = new[i + 2] + c.mul_rho_plus(e)
-        return AnsatzSeries(self.s + 1, new, self.depth)
+            for (g, b, r, cm), p in c.terms.items():
+                accumulate(new[i], (g + 1, b, r, cm), p)
+                if i + 1 <= self.depth:
+                    accumulate(new[i + 1], (g, b + 1, r, cm), p)
+                if i + 2 <= self.depth:
+                    accumulate(new[i + 2], (g, b, r + 1, cm), p)
+                    if e:
+                        accumulate(new[i + 2], (g, b, r, cm), p.scale(e))
+        return AnsatzSeries(self.s + 1, [RingElem._wrap(t) for t in new], self.depth)
 
     def shift_z(self, i: int) -> "AnsatzSeries":
         return AnsatzSeries(self.s + i, self.terms, self.depth)
@@ -490,12 +399,11 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5, *,
         series.append(series[-1].deriv())
     levels = []
     for l in range(depth + 1):
-        total = RingElem.zero()
+        total = {}
         for (i, j), p in A.terms.items():
-            contrib = series[j].coeff_at_offset(2 * k - l - i)
-            if not contrib.is_zero():
-                total = total + contrib.scale(p)
-        levels.append(LevelEquation(l, total))
+            for key, q in series[j].coeff_at_offset(2 * k - l - i).terms.items():
+                accumulate(total, key, q * p)
+        levels.append(LevelEquation(l, RingElem._wrap(total)))
     return levels
 
 
@@ -673,9 +581,9 @@ class ExponentBranch:
 
     def substitute(self, elem: RingElem) -> RingElem:
         """Substitute this branch's gamma, beta, rho and known c_n into elem."""
-        out = elem.subs_gamma(self.gamma).subs_b(self.beta)
+        out = elem.subs("g", self.gamma).subs("b", self.beta)
         if self.rho.is_rational():
-            out = out.subs_r(self.rho.rational_value())
+            out = out.subs("r", self.rho.rational_value())
         else:
             out = out.rem_rho_quadratic(self.rho.monic_b, self.rho.monic_c)
         for n, cn in enumerate(self.c):
@@ -696,7 +604,7 @@ def gamma_root_elements(k: int) -> list[RingElem]:
 
 
 def _solve_beta(eq: RingElem, level: int) -> list[RingElem]:
-    poly = eq.poly_in_b()
+    poly = eq.poly_in("b")
     deg = max(poly)
     if deg > 2:
         raise UnsolvableLevel(level, eq.text(), f"degree {deg} in b")
@@ -724,7 +632,7 @@ def _scalarize(e: RingElem, level: int, what: str) -> ParamPoly:
 
 
 def _solve_rho(eq: RingElem, level: int) -> list[QuadraticRoot]:
-    poly = eq.poly_in_r()
+    poly = eq.poly_in("r")
     deg = max(poly)
     if deg > 2:
         raise UnsolvableLevel(level, eq.text(), f"degree {deg} in r")
@@ -774,7 +682,8 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
                               "level 0 does not factor as a unit times (g^k+1)^2*c0")
 
     one = RingElem.one(k)
-    reduced = [lv.coeff.reduce(k).subs_c(0, one) for lv in levels]
+    # only levels 0..4 fix the exponents; the deeper ones are c_recursion's
+    reduced = [lv.coeff.reduce(k).subs_c(0, one) for lv in levels[:5]]
 
     # triangular elimination over the generator: beta, then rho, then forced c_n
     @dataclass
@@ -788,10 +697,10 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
 
     def apply_known(eq: RingElem, st: _State) -> RingElem:
         if st.beta is not None:
-            eq = eq.subs_b(st.beta)
+            eq = eq.subs("b", st.beta)
         if st.rho is not None:
             if st.rho.is_rational():
-                eq = eq.subs_r(st.rho.rational_value())
+                eq = eq.subs("r", st.rho.rational_value())
             else:
                 eq = eq.rem_rho_quadratic(st.rho.monic_b, st.rho.monic_c)
         for n, cn in enumerate(st.cs):
@@ -835,9 +744,9 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         for st in states:
             br = ExponentBranch(
                 k=k, gamma_index=m, gamma=groot,
-                beta=st.beta.subs_gamma(groot),
+                beta=st.beta.subs("g", groot),
                 rho=st.rho,
-                c=tuple(ci.subs_gamma(groot) for ci in st.cs),
+                c=tuple(ci.subs("g", groot) for ci in st.cs),
                 beta_index=st.beta_index, rho_index=st.rho_index,
                 resonant=st.resonant)
             branches.append(br)
@@ -878,8 +787,8 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
             raise ValueError(
                 "levels exhausted before reaching n_max (a trailing resonant "
                 "coefficient needs one extra level; raise the depth)") from None
-        eq = levels[l].coeff.reduce(k).subs_gamma(branch.gamma)
-        eq = eq.subs_b(branch.beta).subs_r(rho)
+        eq = levels[l].coeff.reduce(k).subs("g", branch.gamma)
+        eq = eq.subs("b", branch.beta).subs("r", rho)
         for n, cn in enumerate(cs):
             eq = eq.subs_c(n, cn)
         if eq.is_zero():

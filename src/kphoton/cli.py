@@ -75,10 +75,15 @@ def _json_text(obj) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     target = os.path.abspath(path)
+    # mkstemp creates the file 0600; give it the mode a new file from
+    # open(path, "w") gets under the current umask
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kphoton-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -114,8 +119,8 @@ def _cmd_ode(ns) -> str:
     return op.text() + "\n"
 
 
-def _branches(k: int, depth: int):
-    levels = asymptotics.substitute_ansatz(build_reduced_operator(k), k, depth)
+def _branches(k: int):
+    levels = asymptotics.substitute_ansatz(build_reduced_operator(k), k, 5)
     return asymptotics.solve_levels(levels, k)
 
 
@@ -125,9 +130,7 @@ def _cmd_exponents(ns) -> str:
                        "Gaussian exponent is not a root of unity there; use "
                        "the sweep subcommand for the truncation numerics")
     k = _check_k(ns.k, 3, 12, "exponents")
-    if not 5 <= ns.depth <= 32:
-        raise CliError("depth must be between 5 and 32")
-    branches = _branches(k, ns.depth)
+    branches = _branches(k)
     rows = [{"gamma_power": 2 * b.gamma_index + 1,
              "gamma": b.gamma.text(),
              "beta": b.beta.text(),
@@ -284,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("exponents", _cmd_exponents, "text", ("text", "csv", "json"),
             "asymptotic exponent branches")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--depth", type=int, default=5)
 
     p = add("verdict", _cmd_verdict, "text", ("text", "json"),
             "self-adjointness verdict with trace")

@@ -25,7 +25,7 @@ from .asymptotics import (
     solve_levels,
     substitute_ansatz,
 )
-from .weyl import ParamPoly, build_reduced_operator
+from .weyl import ParamPoly, accumulate, build_reduced_operator
 
 
 class Verdict(enum.Enum):
@@ -83,7 +83,7 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
                 for j, dj in enumerate(div):
                     rem[i + j] -= c * dj
         if any(rem):
-            raise AssertionError("cyclotomic division left a remainder")
+            raise RuntimeError("cyclotomic division left a remainder")
         poly = out
     return tuple(poly)
 
@@ -96,25 +96,23 @@ def _zeta_poly_is_zero(coeffs: dict[int, ParamPoly], k: int) -> bool:
     of zeta, irreducible also over the transcendental parameters).
     """
     n = 2 * k
-    folded = [ParamPoly() for _ in range(n)]
+    folded: dict[int, ParamPoly] = {}
     for e, p in coeffs.items():
         e %= 4 * k
-        sign = 1
         if e >= n:
-            e -= n
-            sign = -1
-        folded[e] = folded[e] + (p if sign > 0 else -p)
+            accumulate(folded, e - n, -p)
+        else:
+            accumulate(folded, e, p)
     phi = _cyclotomic(4 * k)
     deg = len(phi) - 1
     for i in range(n - 1, deg - 1, -1):
-        c = folded[i]
-        if not c:
+        c = folded.pop(i, None)
+        if c is None:
             continue
-        folded[i] = ParamPoly()
         for j, pj in enumerate(phi[:-1]):
             if pj:
-                folded[i - deg + j] = folded[i - deg + j] - c.scale(pj)
-    return all(p.is_zero() for p in folded)
+                accumulate(folded, i - deg + j, c.scale(-pj))
+    return not folded
 
 
 def beta_unit_modulus(branch: ExponentBranch, line: CriticalLine) -> bool:
@@ -128,8 +126,8 @@ def beta_unit_modulus(branch: ExponentBranch, line: CriticalLine) -> bool:
         if b or r or c:
             raise ValueError("beta is not resolved to a scalar ring element")
         e = 2 * p + shift                      # g = zeta^2
-        coeffs[e] = coeffs.get(e, ParamPoly()) + q
-        coeffs[-e] = coeffs.get(-e, ParamPoly()) + q   # plus conjugate
+        accumulate(coeffs, e, q)
+        accumulate(coeffs, -e, q)              # plus conjugate
     return _zeta_poly_is_zero(coeffs, k)
 
 
@@ -338,9 +336,9 @@ def verdict(k: int, omega, delta) -> VerdictReport:
         for poly in (b.rho.rational, b.rho.surd, b.rho.disc,
                      b.rho.monic_b, b.rho.monic_c):
             if poly.uses("E") or poly.uses("d"):
-                raise AssertionError("exponent depends on E or Delta")
+                raise RuntimeError("exponent depends on E or Delta")
         if b.beta.uses_param("E") or b.beta.uses_param("d"):
-            raise AssertionError("beta depends on E or Delta")
+            raise RuntimeError("beta depends on E or Delta")
 
     reports = tuple(normalizability(b, omega) for b in branches)
     lines = tuple(critical_lines(k))
@@ -351,7 +349,7 @@ def verdict(k: int, omega, delta) -> VerdictReport:
         except ValueError:
             pass
     if not all(r.normalizable for r in reports):
-        raise AssertionError(
+        raise RuntimeError(
             "unexpected non-normalizable branch; the k >= 3 theory "
             "guarantees Re(rho) < -1/2")
     trace = _build_trace(k, levels, branches, reports)

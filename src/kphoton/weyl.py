@@ -17,6 +17,18 @@ from functools import cache
 PARAM_NAMES = ("w", "d", "E")
 
 
+def accumulate(out: dict, key, value) -> None:
+    """out[key] += value in place, dropping the key when the sum is zero."""
+    if key in out:
+        s = out[key] + value
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    elif value:
+        out[key] = value
+
+
 def _fmt_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -74,11 +86,7 @@ class ParamPoly:
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            accumulate(out, e, c)
         return ParamPoly(out)
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
@@ -88,12 +96,7 @@ class ParamPoly:
         out: dict[tuple[int, int, int], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                accumulate(out, (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
         return ParamPoly(out)
 
     def __pow__(self, n: int) -> "ParamPoly":
@@ -140,12 +143,12 @@ class ParamPoly:
     def subs_omega(self, value) -> "ParamPoly":
         """Substitute an exact rational for w, keeping d and E symbolic."""
         value = Fraction(value)
-        out = ParamPoly()
+        out: dict[tuple[int, int, int], Fraction] = {}
         for (ew, ed, ee), c in self.terms.items():
             if ew < 0 and value == 0:
                 raise ZeroDivisionError("w = 0 substituted into a 1/w term")
-            out = out + ParamPoly({(0, ed, ee): c * value ** ew})
-        return out
+            accumulate(out, (0, ed, ee), c * value ** ew)
+        return ParamPoly(out)
 
     def evaluate(self, w, d, E) -> Fraction:
         """Evaluate at exact rational parameter values."""
@@ -232,11 +235,7 @@ class OperatorPoly:
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
         out = dict(self.terms)
         for ij, p in other.terms.items():
-            s = out.get(ij, P_ZERO) + p
-            if s:
-                out[ij] = s
-            else:
-                out.pop(ij, None)
+            accumulate(out, ij, p)
         return OperatorPoly(out)
 
     def __sub__(self, other: "OperatorPoly") -> "OperatorPoly":
@@ -281,12 +280,7 @@ def op_mul(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
         for (i2, j2), p2 in b.terms.items():
             p = p1 * p2
             for (i, j), c in _dz_z(j1, i2):
-                key = (i1 + i, j + j2)
-                s = out.get(key, P_ZERO) + p.scale(c)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (i1 + i, j + j2), p.scale(c))
     return OperatorPoly(out)
 
 
@@ -359,25 +353,17 @@ def build_reduced_operator(k: int) -> OperatorPoly:
     E = ParamPoly.energy()
     d = ParamPoly.delta()
     terms: dict[tuple[int, int], ParamPoly] = {}
-
-    def add(i, j, p):
-        s = terms.get((i, j), P_ZERO) + p
-        if s:
-            terms[(i, j)] = s
-        else:
-            terms.pop((i, j), None)
-
     # (w z Dz - E)^2 = w^2 z^2 Dz^2 + (w^2 - 2 E w) z Dz + E^2
-    add(2, 2, w * w)
-    add(1, 1, w * w - (E * w).scale(2))
-    add(0, 0, E * E)
+    accumulate(terms, (2, 2), w * w)
+    accumulate(terms, (1, 1), w * w - (E * w).scale(2))
+    accumulate(terms, (0, 0), E * E)
     # -(z^k + Dz^k)^2 in normal order
-    add(0, 2 * k, -P_ONE)
-    add(2 * k, 0, -P_ONE)
-    add(k, k, P_ONE.scale(-2))
+    accumulate(terms, (0, 2 * k), -P_ONE)
+    accumulate(terms, (2 * k, 0), -P_ONE)
+    accumulate(terms, (k, k), P_ONE.scale(-2))
     for j in range(1, k + 1):
-        add(k - j, k - j, P_ONE.scale(-a_coeff(j, k)))
+        accumulate(terms, (k - j, k - j), P_ONE.scale(-a_coeff(j, k)))
     # first-order remainder of the elimination
-    add(k - 1, 0, w.scale(k))
-    add(0, 0, -(d * d))
+    accumulate(terms, (k - 1, 0), w.scale(k))
+    accumulate(terms, (0, 0), -(d * d))
     return OperatorPoly(terms)

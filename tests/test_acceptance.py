@@ -163,7 +163,7 @@ def test_criterion_4_exponents_k5_to_12():
             assert levels[1].coeff.reduce(k).is_zero(), f"level 1 survives at k={k}"
             # level 3 vanishes identically once the forced beta = 0 is in:
             # every surviving term carries a factor of b
-            level3 = levels[3].coeff.reduce(k).subs_b(RingElem.zero(k))
+            level3 = levels[3].coeff.reduce(k).subs("b", RingElem.zero(k))
             assert level3.is_zero(), f"level 3 survives at k={k}"
             branches = solve_levels(levels, k)
             assert len(branches) == 2 * k

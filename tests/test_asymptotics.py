@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -66,7 +67,7 @@ class TestRingElem:
         expr = b * b.scale(3) + RingElem.gamma(2, k)
         assert expr.max_b() == 2
         val = G(3, k)
-        got = expr.subs_b(val)
+        got = expr.subs("b", val)
         assert got == val * val * RingElem.one(k).scale(3) + RingElem.gamma(2, k)
 
     def test_linear_in_c(self):
@@ -224,7 +225,7 @@ class TestSubstituteAnsatz:
     @pytest.mark.parametrize("k", range(5, 13))
     def test_level3_vanishes_with_beta_zero(self, k):
         levels = levels_for(k)
-        lvl3 = levels[3].coeff.reduce(k).subs_b(RingElem.zero(k))
+        lvl3 = levels[3].coeff.reduce(k).subs("b", RingElem.zero(k))
         assert lvl3.is_zero()
 
     def test_levels_are_linear_in_c(self):
@@ -232,6 +233,17 @@ class TestSubstituteAnsatz:
             for lv in levels_for(k):
                 for n in lv.coeff.c_indices():
                     lv.coeff.linear_in_c(n)   # raises if any c appears squared
+
+    # sha256 of the rendered levels 0..16; the only direct check of levels past 5
+    @pytest.mark.parametrize("k, digest", [
+        (3, "88b39d175d629f9704bdca561e83cee6b497144c7c43ec01735239f3619936d4"),
+        (4, "26de8b4d2cf0ebb724c083b2997346cdde87d881ebb2316492052ef156892e3d"),
+        (5, "db83e8788c439243b0aacd3bdf9075ed80e47c0740da17ca3579dd9925b45534"),
+        (6, "e8d9ca2d368c4a04d43de88123189c4041f0968b4978df88db813073d18540ea"),
+    ])
+    def test_depth16_levels_pinned(self, k, digest):
+        text = "\n".join(lv.text() for lv in levels_for(k, 16))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSolveLevels:

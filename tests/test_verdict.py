@@ -123,7 +123,8 @@ class TestBetaUnitModulus:
             assert beta_unit_modulus(b, lines[b.gamma_index])
 
     def test_unresolved_beta_rejected(self):
-        b = _branch(3, 0, RingElem.one(3).mul_beta(), _rational_rho(-2))
+        beta = RingElem({(0, 1, 0, ()): ParamPoly.rational(1)}, 3)   # unresolved b
+        b = _branch(3, 0, beta, _rational_rho(-2))
         with pytest.raises(ValueError):
             beta_unit_modulus(b, critical_lines(3)[0])
 
@@ -307,6 +308,21 @@ class TestVerdict:
         assert a.trace_ref() == b.trace_ref()
         assert a.trace_ref().startswith("sha256:")
         assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
+
+    @pytest.mark.parametrize("k, ref", [
+        (3, "63d45438692a5341346097b1bef25a90a37585d408541f015738412fe05ca3bd"),
+        (4, "4821ecf33bb9b3e2b8168e7d527067ab42a6e4168eb8cac22fd8e7929a11f494"),
+        (5, "f3b53ad4f31f5ea9d4abad4192a330d39c42cc72e6ae6d64088903b5cdf21982"),
+        (6, "b824df9a4cdd4611c043d20346bf56445043aaffd2b9d192d0fb6af4efc4b44e"),
+        (7, "b1ba6edace693c1c09d5b7a6157df8307e3f8d7e44d55a204da39d14d1a788ba"),
+        (8, "3cbe5e0f778dcfbd67c14a90d9fef8b9ac39fa0d1bc8772ddc0a2b5a2869b3ef"),
+        (9, "d53ff1c26d1b3e6ec69b28b4522ec8a2db4a5583cda5822f955a2a6e7d5da6ee"),
+        (10, "bf9a8228f81dabfc07e4d1407fa6161e3d219628dbcedd8114ef04ccdabab843"),
+        (11, "98bfedad8dcf5d7bb2375eeac269ff6e9213e5ac50836256d3b99588c38f9518"),
+        (12, "0a520290d7faf8451e4ae6f5c1e99aec3e8e163a9d7fe72826e6040469cd2fb4"),
+    ])
+    def test_trace_ref_pinned(self, k, ref):
+        assert verdict(k, F(3, 2), F(1, 3)).trace_ref() == "sha256:" + ref
 
     @pytest.mark.parametrize("k", range(3, 13))
     @pytest.mark.parametrize("omega", [F(1, 2), F(1), F(2), F(7, 2)])

@@ -11,6 +11,7 @@ from kphoton.weyl import (
     a1_closed,
     a2_closed,
     a_coeff,
+    accumulate,
     apply_to_polynomial,
     build_reduced_operator,
     op_mul,
@@ -24,6 +25,17 @@ ONE = ParamPoly.rational(1)
 
 def rat(q):
     return ParamPoly.rational(q)
+
+
+def test_accumulate_drops_zero_sums():
+    out = {"a": Fraction(1)}
+    accumulate(out, "a", Fraction(2))
+    accumulate(out, "b", Fraction(0))      # a zero never enters
+    accumulate(out, "c", W)
+    assert out == {"a": Fraction(3), "c": W}
+    accumulate(out, "a", Fraction(-3))
+    accumulate(out, "c", -W)
+    assert out == {}
 
 
 class TestParamPoly:
