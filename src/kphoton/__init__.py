@@ -20,7 +20,7 @@ from .asymptotics import (
     substitute_ansatz,
 )
 from .fock import (
-    BandedSymmetricMatrix,
+    ChainMatrix,
     Classification,
     JCBlock,
     ModelParams,
@@ -61,7 +61,7 @@ from .weyl import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnsatzSeries", "BandedSymmetricMatrix", "Classification", "CriticalLine",
+    "AnsatzSeries", "ChainMatrix", "Classification", "CriticalLine",
     "DivisionByNonUnit", "ExponentBranch", "JCBlock", "LevelEquation",
     "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
     "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",

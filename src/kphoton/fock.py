@@ -7,21 +7,20 @@ The JC model block-diagonalizes exactly and serves as the trusted oracle;
 the sx-coupled model is the object under study, where truncated spectra can
 look plausible while failing to converge.
 
-Eigensolves go through LAPACK's banded symmetric driver.  All classification
-thresholds are artifact choices (flagged in the emitted summaries), not
-derived quantities.
+Both truncations split exactly into symmetric tridiagonal chains (see
+build_hkp); eigensolves bisect each chain with LAPACK's stebz, at O(N) per
+eigenvalue.  All classification thresholds are artifact choices (flagged in
+the emitted summaries), not derived quantities.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eigvalsh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -46,85 +45,92 @@ class ModelParams:
             raise ValueError("omega must be positive")
 
 
-class BandedSymmetricMatrix:
-    """Symmetric matrix stored by its upper bands.
+class ChainMatrix:
+    """Symmetric matrix stored as a direct sum of tridiagonal chains.
 
-    band[u + i - j, j] = A[i, j] for max(0, j-u) <= i <= j, the layout the
-    LAPACK banded drivers consume directly.  Only the upper triangle is ever
-    written, so symmetry of to_dense() is exact, not approximate.
+    Each chain is (index, diag, off): its basis indices 2n+s in chain order,
+    its diagonal, and off[j] coupling index[j] to index[j+1].  The chains
+    partition range(dim); every other entry is zero, and to_dense() writes
+    each coupling into both triangles, so its symmetry is exact.
     """
 
-    __slots__ = ("dim", "u", "band")
+    __slots__ = ("dim", "chains")
 
-    def __init__(self, dim: int, u: int):
-        if dim < 1 or u < 0:
-            raise ValueError("need dim >= 1 and bandwidth >= 0")
+    def __init__(self, dim: int, chains):
         self.dim = dim
-        self.u = u
-        self.band = np.zeros((u + 1, dim))
-
-    def add(self, i: int, j: int, v: float) -> None:
-        if not 0 <= i <= j < self.dim or j - i > self.u:
-            raise IndexError(f"({i}, {j}) outside the stored band")
-        self.band[self.u + i - j, j] += v
+        self.chains = tuple((np.asarray(i, dtype=np.intp), np.asarray(d, dtype=float),
+                             np.asarray(e, dtype=float)) for i, d, e in chains)
+        cover = np.bincount(np.concatenate([c[0] for c in self.chains]), minlength=dim)
+        if len(cover) != dim or np.any(cover != 1):
+            raise ValueError(f"chains must partition range({dim})")
 
     def entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        if j - i > self.u:
-            return 0.0
-        return float(self.band[self.u + i - j, j])
+        """One entry, read through to_dense(); meant for small matrices."""
+        return float(self.to_dense()[i, j])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
-        for off in range(self.u + 1):
-            d = np.diag(self.band[self.u - off, off:], k=off)
-            out += d
-            if off:
-                out += d.T
+        for idx, diag, off in self.chains:
+            out[idx, idx] = diag
+            out[idx[:-1], idx[1:]] = off
+            out[idx[1:], idx[:-1]] = off
         return out
 
 
-def _ladder_weight(n: int, k: int) -> float:
-    # sqrt(n!/(n-k)!) as a running product; no factorial overflow
-    w = 1.0
-    for t in range(k):
-        w *= math.sqrt(n - t)
-    return w
+def _couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
+    # g*sqrt(n!/(n-k)!) as a running product; past a double it reads inf or nan
+    w = np.ones(len(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(params.k):
+            w *= np.sqrt(n - t)
+        return params.g * w
 
 
-def build_hkp(params: ModelParams, N: int) -> BandedSymmetricMatrix:
+def _chain_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (w*n - d, w*n + d), the energies of |n,down> and |n,up> for
+    n < N, and couplings w[n - k] = g*sqrt(n!/(n-k)!) for k <= n < N."""
+    k = params.k
+    if N <= k:
+        raise ValueError(f"need N > k, got N={N}, k={k}")
+    n = np.arange(N)
+    w = _couplings(params, n[k:])
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"coupling g*sqrt(n!/(n-k)!) is not a finite double at "
+                         f"k={k}, n={k + bad[0]}; use a smaller N")
+    return params.omega * n[:, None] + np.array([-params.delta, params.delta]), w
+
+
+def build_hkp(params: ModelParams, N: int) -> ChainMatrix:
     """Truncate the sx-coupled model to the first N Fock states (dim 2N).
 
     Diagonal: w*n - d on |n,down>, w*n + d on |n,up>.  The coupling flips
     spin and moves k photons: <n-k, 1-s| H |n, s> = g*sqrt(n!/(n-k)!).
+    H commutes with T = exp(i pi a'a/k) sz, and T^(2k) = 1, so the
+    truncation splits exactly into the 2k chains
+    {|r + jk, s xor (j mod 2)> : j >= 0} for r < k, s in {0, 1}.
     """
     k = params.k
-    if N <= k:
-        raise ValueError(f"need N > k, got N={N}, k={k}")
-    m = BandedSymmetricMatrix(2 * N, 2 * k + 1)
-    for n in range(N):
-        m.add(2 * n, 2 * n, params.omega * n - params.delta)
-        m.add(2 * n + 1, 2 * n + 1, params.omega * n + params.delta)
-    for n in range(k, N):
-        w = params.g * _ladder_weight(n, k)
+    diag, w = _chain_entries(params, N)
+    chains = []
+    for r in range(k):
+        n = np.arange(r, N, k)
         for s in (0, 1):
-            m.add(2 * (n - k) + 1 - s, 2 * n + s, w)
-    return m
+            spin = (s + np.arange(len(n))) % 2
+            chains.append((2 * n + spin, diag[n, spin], w[n[1:] - k]))
+    return ChainMatrix(2 * N, chains)
 
 
-def build_jck(params: ModelParams, N: int) -> BandedSymmetricMatrix:
-    """Truncated number-conserving counterpart: couples |n+k,down> <-> |n,up> only."""
+def build_jck(params: ModelParams, N: int) -> ChainMatrix:
+    """Truncated number-conserving counterpart: couples |n+k,down> <-> |n,up>
+    only, so its chains are those 2x2 blocks and 1x1 chains for the rest."""
     k = params.k
-    if N <= k:
-        raise ValueError(f"need N > k, got N={N}, k={k}")
-    m = BandedSymmetricMatrix(2 * N, 2 * k - 1)
-    for n in range(N):
-        m.add(2 * n, 2 * n, params.omega * n - params.delta)
-        m.add(2 * n + 1, 2 * n + 1, params.omega * n + params.delta)
-    for n in range(N - k):
-        m.add(2 * n + 1, 2 * (n + k), params.g * _ladder_weight(n + k, k))
-    return m
+    diag, w = _chain_entries(params, N)
+    chains = [((2 * (n + k), 2 * n + 1), (diag[n + k, 0], diag[n, 1]), w[n:n + 1])
+              for n in range(N - k)]
+    chains += [((2 * n,), diag[n, :1], ()) for n in range(k)]
+    chains += [((2 * n + 1,), diag[n, 1:], ()) for n in range(N - k, N)]
+    return ChainMatrix(2 * N, chains)
 
 
 @dataclass(frozen=True)
@@ -147,11 +153,12 @@ def jc_blocks(params: ModelParams, n_max: int) -> list[JCBlock]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     k = params.k
+    w = _couplings(params, np.arange(k, n_max + k + 1))
     return [
         JCBlock(n,
                 params.omega * (n + k) - params.delta,
                 params.omega * n + params.delta,
-                params.g * _ladder_weight(n + k, k))
+                float(w[n]))
         for n in range(n_max + 1)
     ]
 
@@ -165,17 +172,26 @@ def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
     return sorted(vals)
 
 
-def lowest_eigenvalues(M: BandedSymmetricMatrix, m: int) -> list[float]:
-    """The m algebraically smallest eigenvalues, ascending."""
+# stebz's absolute tolerance.  LAPACK's default, eps*||T||, leaves E_min of
+# an N=1000 chain off by up to 7e-13 relative; 2*tiny bisects to a few ulp.
+_BISECTION_TOL = 2 * np.finfo(float).tiny
+
+
+def lowest_eigenvalues(M: ChainMatrix, m: int) -> list[float]:
+    """The m algebraically smallest eigenvalues, ascending: the lowest m of
+    every chain, merged."""
     if not 1 <= m <= M.dim:
         raise ValueError(f"need 1 <= m <= {M.dim}, got {m}")
-    try:
-        vals = eig_banded(M.band, lower=False, eigvals_only=True,
-                          select="i", select_range=(0, m - 1))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"banded eigensolver failed on dimension {M.dim}: {exc}") from exc
-    return [float(v) for v in vals]
+    parts = []
+    for _, diag, off in M.chains:
+        try:
+            parts.append(eigvalsh_tridiagonal(
+                diag, off, select="i", select_range=(0, min(m, len(diag)) - 1),
+                lapack_driver="stebz", tol=_BISECTION_TOL))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"tridiagonal eigensolver failed on a chain of "
+                               f"length {len(diag)}: {exc}") from exc
+    return [float(v) for v in np.sort(np.concatenate(parts))[:m]]
 
 
 def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:
@@ -208,17 +224,6 @@ class SpectrumSweep:
     collapse_factor: float
 
 
-def _thread_budget(jobs: int) -> int:
-    env = os.environ.get("RABI_THREADS", "").strip()
-    if env:
-        budget = int(env)
-        if budget < 1:
-            raise ValueError("RABI_THREADS must be a positive integer")
-    else:
-        budget = os.cpu_count() or 1
-    return max(1, min(budget, jobs))
-
-
 def convergence_sweep(params: ModelParams, N_list, m: int = 10,
                       tol: float = 1e-6) -> SpectrumSweep:
     """Lowest-m spectra across truncation sizes, merged by N, classified."""
@@ -229,17 +234,10 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
         raise ValueError("truncation sizes must be strictly increasing")
     if m < 2:
         raise ValueError("need m >= 2 for gap statistics")
-
-    def job(N: int) -> tuple[float, ...]:
-        return tuple(lowest_eigenvalues(build_hkp(params, N), m))
-
-    with ThreadPoolExecutor(max_workers=_thread_budget(len(sizes))) as pool:
-        rows = list(pool.map(job, sizes))
+    rows = [tuple(lowest_eigenvalues(build_hkp(params, N), m)) for N in sizes]
     for row in rows:
         if not all(math.isfinite(v) for v in row):
             raise RuntimeError("non-finite eigenvalue in sweep")
-        if any(b < a for a, b in zip(row, row[1:])):
-            raise RuntimeError("eigensolver returned an unsorted spectrum")
     sweep = SpectrumSweep(params, tuple(sizes), tuple(rows),
                           Classification.Inconclusive, tol, 10.0)
     return replace(sweep, classification=classify_convergence(sweep, tol))

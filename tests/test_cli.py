@@ -197,6 +197,14 @@ class TestSweep:
         assert run(capsys, "sweep", "--k", "1", "--g", "1", "--tol", "0",
                    "--N", "20,40,60")[0] == 2
 
+    def test_coupling_overflow_is_a_usage_error(self, capsys):
+        # g*sqrt(n!/(n-k)!) is past the largest double from n = k = 400 on
+        code, out, err = run(capsys, "sweep", "--k", "400", "--g", "0.1",
+                             "--N", "500,600,700")
+        assert (code, out) == (2, "")
+        assert "k=400, n=400;" in err
+        assert "infs or NaNs" not in err
+
 
 class TestJcExact:
     def test_csv(self, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from importlib import resources
 
 import jsonschema
@@ -10,7 +11,7 @@ import pytest
 from scipy.linalg import eigh
 
 from kphoton.fock import (
-    BandedSymmetricMatrix,
+    ChainMatrix,
     Classification,
     ModelParams,
     SpectrumSweep,
@@ -46,24 +47,19 @@ class TestModelParams:
             ModelParams(**bad)
 
 
-class TestBandedStorage:
-    def test_roundtrip_and_symmetry(self):
-        m = BandedSymmetricMatrix(6, 2)
-        m.add(0, 0, 1.5)
-        m.add(1, 3, -2.0)
-        m.add(2, 2, 0.25)
-        dense = m.to_dense()
-        assert dense[1, 3] == dense[3, 1] == -2.0
-        assert m.entry(3, 1) == -2.0
-        assert m.entry(0, 5) == 0.0
-        assert np.max(np.abs(dense - dense.T)) == 0.0
-
-    def test_out_of_band_rejected(self):
-        m = BandedSymmetricMatrix(6, 2)
-        with pytest.raises(IndexError):
-            m.add(0, 4, 1.0)
-        with pytest.raises(IndexError):
-            m.add(3, 1, 1.0)        # lower triangle writes are not allowed
+def _dense_hkp(p, N):
+    """The truncated sx-coupled H written out from the fock docstring:
+    index 2n+s, diagonal w*n -+ d, <n-k, 1-s|H|n, s> = g*sqrt(n!/(n-k)!)."""
+    H = np.zeros((2 * N, 2 * N))
+    for n in range(N):
+        H[2 * n, 2 * n] = p.omega * n - p.delta
+        H[2 * n + 1, 2 * n + 1] = p.omega * n + p.delta
+        if n >= p.k:
+            w = p.g * math.prod(math.sqrt(n - t) for t in range(p.k))
+            for s in (0, 1):
+                i, j = 2 * (n - p.k) + 1 - s, 2 * n + s
+                H[i, j] = H[j, i] = w
+    return H
 
 
 class TestBuildHkp:
@@ -89,13 +85,40 @@ class TestBuildHkp:
         dense = build_hkp(ModelParams(3, 0.9, 1.0, 0.4), 30).to_dense()
         assert np.max(np.abs(dense - dense.T)) == 0.0
 
-    def test_bandwidth_bound(self):
-        for k in (1, 2, 3, 5):
-            m = build_hkp(ModelParams(k, 0.5, 1.0, 0.1), k + 7)
-            assert m.u <= 2 * k + 1
-            dense = m.to_dense()
-            i, j = np.nonzero(dense)
-            assert np.max(np.abs(i - j), initial=0) <= 2 * k + 1
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chains_are_T_eigenspaces(self, k):
+        # T = exp(i pi a'a/k) sz has eigenvalue exp(i pi (n + k(1-s))/k) on
+        # |n,s>: constant along each chain, one of its 2k values per chain
+        for N in (k + 1, 2 * k + 1, 60):
+            m = build_hkp(ModelParams(k, 0.5, 1.0, 0.1), N)
+            assert len(m.chains) == 2 * k
+            idx = np.concatenate([c[0] for c in m.chains])
+            assert np.array_equal(np.sort(idx), np.arange(2 * N))
+            labels = set()
+            for c in m.chains:
+                n, s = np.divmod(c[0], 2)
+                label = (n + k * (1 - s)) % (2 * k)
+                assert np.all(label == label[0])
+                labels.add(int(label[0]))
+            assert labels == set(range(2 * k))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_to_dense_is_the_docstring_matrix(self, k):
+        for g in (0.0, 0.05, 0.3, 1.0):
+            for N in (k + 1, 2 * k + 3, 60):
+                p = ModelParams(k, g, 1.3, 0.4)
+                assert np.array_equal(build_hkp(p, N).to_dense(), _dense_hkp(p, N))
+
+    def test_coupling_overflow_rejected(self):
+        # g*sqrt(n!/(n-k)!) leaves the doubles at k=400 already for n=k
+        with pytest.raises(ValueError, match=r"k=400, n=400\b"):
+            build_hkp(ModelParams(400, 0.1, 1.0, 0.0), 500)
+        # mid-chain: the first n whose coupling passes the largest double
+        limit = math.log(sys.float_info.max)
+        first = next(n for n in range(200, 5000)
+                     if sum(math.log(n - t) for t in range(200)) / 2 > limit)
+        with pytest.raises(ValueError, match=rf"k=200, n={first}\b"):
+            build_hkp(ModelParams(200, 1.0, 1.0, 0.0), 5000)
 
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
@@ -159,36 +182,109 @@ class TestJcExact:
 
 class TestLowestEigenvalues:
     def test_diagonal(self):
-        m = BandedSymmetricMatrix(5, 0)
-        for i, v in enumerate([3.0, -1.0, 4.0, 1.0, 5.0]):
-            m.add(i, i, v)
+        m = ChainMatrix(5, [((i,), (v,), ()) for i, v in enumerate([3.0, -1.0, 4.0, 1.0, 5.0])])
         assert lowest_eigenvalues(m, 3) == pytest.approx([-1.0, 1.0, 3.0])
 
     def test_two_by_two(self):
-        m = BandedSymmetricMatrix(2, 1)
-        m.add(0, 0, 2.0)
-        m.add(1, 1, 0.0)
-        m.add(0, 1, 0.5)
+        m = ChainMatrix(2, [((1, 0), (2.0, 0.0), (0.5,))])
         r = math.hypot(1.0, 0.5)
         assert lowest_eigenvalues(m, 2) == pytest.approx([1 - r, 1 + r], rel=1e-14)
+        assert m.entry(0, 1) == m.entry(1, 0) == 0.5
 
     def test_against_dense_reference(self):
+        # random chains over a shuffled basis, merged across chain boundaries
         rng = np.random.default_rng(20260814)
-        dim, u = 200, 5
-        m = BandedSymmetricMatrix(dim, u)
-        for j in range(dim):
-            for i in range(max(0, j - u), j + 1):
-                m.add(i, j, float(rng.standard_normal()))
-        dense_vals = eigh(m.to_dense(), eigvals_only=True)
+        dim = 200
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=7, replace=False))
+        chains = [(idx, rng.standard_normal(len(idx)), rng.standard_normal(len(idx) - 1))
+                  for idx in np.split(rng.permutation(dim), cuts)]
+        m = ChainMatrix(dim, chains)
+        dense = m.to_dense()
+        assert np.max(np.abs(dense - dense.T)) == 0.0
+        dense_vals = eigh(dense, eigvals_only=True)
         got = lowest_eigenvalues(m, 12)
         scale = max(1.0, float(np.max(np.abs(dense_vals))))
         assert np.allclose(got, dense_vals[:12], rtol=1e-10, atol=1e-10 * scale)
 
     def test_rejects_bad_count(self):
-        m = BandedSymmetricMatrix(3, 0)
+        m = ChainMatrix(3, [((0, 1, 2), (0.0, 0.0, 0.0), (1.0, 1.0))])
         for bad in (0, 4):
             with pytest.raises(ValueError):
                 lowest_eigenvalues(m, bad)
+
+    def test_chains_must_partition_the_basis(self):
+        for chains in ([((0, 1), (0.0, 0.0), (1.0,))],                     # 2 missed
+                       [((0, 1), (0.0, 0.0), (1.0,)), ((1, 2), (0.0, 0.0), (1.0,))],
+                       [((0, 1, 3), (0.0, 0.0, 0.0), (1.0, 1.0))]):       # 3 >= dim
+            with pytest.raises(ValueError):
+                ChainMatrix(3, chains)
+
+
+class TestChainsAgainstDense:
+    """Every eigenvalue of the chain solve against dense eigh of to_dense()."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_full_spectrum(self, k):
+        for g in (0.0, 0.05, 0.3, 1.0):
+            for N in (k + 1, k + 2, 2 * k + 3, 31, 60):
+                m = build_hkp(ModelParams(k, g, 1.0, 0.3), N)
+                dense = eigh(m.to_dense(), eigvals_only=True)
+                norm = float(np.max(np.abs(dense)))
+                got = lowest_eigenvalues(m, 2 * N)
+                assert np.max(np.abs(np.array(got) - dense)) <= 64 * np.finfo(float).eps * norm
+
+
+def _sturm_count(chains, x):
+    """Eigenvalues below x of the chains (diag, squared couplings)."""
+    count = 0
+    for d, e2 in chains:
+        q = d[0] - x
+        count += q < 0
+        for dj, ej2 in zip(d[1:], e2):
+            q = dj - x - ej2 / q
+            count += q < 0
+    return count
+
+
+class TestGroundEnergyOracle:
+    """E_min against a 50-digit Sturm-count bisection on the exact chains.
+
+    The chain entries are recomputed from the docstring formula in mpmath,
+    the couplings squared exactly as g^2 n!/(n-k)!.  stebz at its default
+    tolerance (eps*||T||) misses these cases by 30-700 times the bound.
+    """
+
+    @pytest.mark.parametrize("k,g,delta,N", [
+        (1, 1.0, 0.0, 1000),        # displaced oscillator: exactly -1
+        (2, 0.3, 0.0, 1000),
+        (2, 0.5, 0.0, 1000),
+        (2, 0.4, 0.2, 800),
+    ])
+    def test_e_min(self, k, g, delta, N):
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(k, g, 1.0, delta)
+        m = build_hkp(p, N)
+        got = lowest_eigenvalues(m, 1)[0]
+        with mpmath.workdps(50):
+            g2, w, d = mpmath.mpf(g) ** 2, mpmath.mpf(p.omega), mpmath.mpf(delta)
+            exact = []
+            for idx, _, _ in m.chains:
+                n, s = np.divmod(idx, 2)
+                assert np.all(np.diff(n) == k) and np.all(s[1:] != s[:-1])
+                exact.append(([w * int(nj) + (2 * int(sj) - 1) * d for nj, sj in zip(n, s)],
+                              [g2 * math.prod(int(nj) - t for t in range(k)) for nj in n[1:]]))
+            half = mpmath.mpf(1e-9) * max(1, abs(got))
+            lo, hi = got - half, got + half
+            assert _sturm_count(exact, lo) == 0 and _sturm_count(exact, hi) >= 1
+            while hi - lo > mpmath.mpf(10) ** -24 * abs(hi):
+                mid = (lo + hi) / 2
+                if _sturm_count(exact, mid) >= 1:
+                    hi = mid
+                else:
+                    lo = mid
+            if k == 1 and delta == 0:
+                assert abs(hi + g * g) < mpmath.mpf(10) ** -22
+            assert abs(got - hi) <= 1e-15 * abs(hi)
 
 
 class TestDisplacedOscillator:
@@ -268,20 +364,6 @@ class TestConvergenceSweep:
             convergence_sweep(p, [50, 100, 100], m=4)
         with pytest.raises(ValueError):
             convergence_sweep(p, [50, 100, 200], m=1)
-
-    def test_thread_budget_does_not_change_results(self, monkeypatch):
-        p = ModelParams(2, 0.4, 1.0, 0.2)
-        monkeypatch.setenv("RABI_THREADS", "1")
-        a = convergence_sweep(p, [30, 60, 90], m=4)
-        monkeypatch.setenv("RABI_THREADS", "3")
-        b = convergence_sweep(p, [30, 60, 90], m=4)
-        assert a.eigenvalues == b.eigenvalues
-        assert a.classification is b.classification
-
-    def test_bad_thread_budget_rejected(self, monkeypatch):
-        monkeypatch.setenv("RABI_THREADS", "0")
-        with pytest.raises(ValueError):
-            convergence_sweep(ModelParams(1, 1, 1, 0), [10, 20, 30], m=2)
 
 
 class TestEmitters:
