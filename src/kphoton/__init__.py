@@ -1,5 +1,7 @@
 """Exact asymptotics and Fock-space numerics for k-photon Rabi models."""
 
+import importlib
+
 from .asymptotics import (
     AnsatzSeries,
     DivisionByNonUnit,
@@ -18,23 +20,6 @@ from .asymptotics import (
     rho_quadratic_general,
     solve_levels,
     substitute_ansatz,
-)
-from .fock import (
-    ChainMatrix,
-    Classification,
-    JCBlock,
-    ModelParams,
-    SpectrumSweep,
-    build_hkp,
-    build_jck,
-    classify_convergence,
-    convergence_sweep,
-    displaced_oscillator_oracle,
-    jc_blocks,
-    jck_exact_spectrum,
-    lowest_eigenvalues,
-    sweep_csv,
-    sweep_summary,
 )
 from .verdict import (
     CriticalLine,
@@ -59,6 +44,23 @@ from .weyl import (
 )
 
 __version__ = "0.1.0"
+
+# The fock names load numpy and scipy, so they are imported on first use:
+# the CLI sets OpenBLAS's thread count before that happens.
+_FOCK_NAMES = frozenset({
+    "ChainMatrix", "Classification", "JCBlock", "ModelParams", "SpectrumSweep",
+    "build_hkp", "build_jck", "classify_convergence", "convergence_sweep",
+    "displaced_oscillator_oracle", "jc_blocks", "jck_exact_spectrum",
+    "lowest_eigenvalues", "sweep_csv", "sweep_summary",
+})
+
+
+def __getattr__(name: str):
+    if name == "fock" or name in _FOCK_NAMES:
+        fock = importlib.import_module(".fock", __name__)
+        return fock if name == "fock" else getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnsatzSeries", "ChainMatrix", "Classification", "CriticalLine",

@@ -18,9 +18,16 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from . import asymptotics, fock
+from . import asymptotics
 from .verdict import verdict as run_verdict
 from .weyl import a_coeff, build_reduced_operator
+
+# Nothing here calls threaded BLAS: the exact subcommands use rationals and
+# sweep bisects tridiagonal chains.  Each OpenBLAS that numpy and scipy load
+# otherwise starts cpu_count - 1 workers that busy-wait after start-up and
+# take CPU from the main thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+from . import fock  # noqa: E402
 
 
 class CliError(argparse.ArgumentTypeError):

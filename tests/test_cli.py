@@ -306,3 +306,16 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "a_1 = 9\na_2 = 18\na_3 = 6\n"
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+    def test_blas_threads_chosen_before_numpy_loads(self, preset, want):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        script = ("import sys, kphoton; assert 'numpy' not in sys.modules; "
+                  "import os, kphoton.cli; assert 'numpy' in sys.modules; "
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want + "\n"
