@@ -5,6 +5,9 @@ operator, collects the coefficient of each power z^(r + 2k - l) (level l) and
 solves the levels in the fixed order g, b, r, c_1, c_2, ... over the quotient
 ring Q(w,d,E)[g]/(g^k + 1).  Everything is exact; no floating point.
 
+Differentiating the ansatz only multiplies by g, b and r + e, so the series
+holds integers; w, d, E enter only when substitute_ansatz collects a level.
+
 Symbol conventions in rendered output: g is the Gaussian exponent generator
 (g^k = -1), b the linear exponent, r the power-law exponent, c0..cL the tail
 coefficients; w, d, E live inside the ParamPoly coefficients.
@@ -164,12 +167,6 @@ class RingElem:
                 accumulate(out, key, p1 * p2)
         return RingElem(out, self.modulus)
 
-    def __pow__(self, n: int):
-        out = RingElem.one(self.modulus)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, q) -> "RingElem":
         if isinstance(q, ParamPoly):
             if q.is_zero():
@@ -327,14 +324,15 @@ class RingElem:
 class AnsatzSeries:
     """Window of series coefficients for e^(g z^2/2 + b z) z^r sum p_j z^(s-j).
 
-    terms[i] is the free-ring (modulus None) RingElem coefficient of
-    z^(r + s - i); the window keeps exactly depth+1 slots, so each derivative
+    terms[i] is the coefficient of z^(r + s - i) as {(g, b, r, (n,)): int}:
+    d/dz only multiplies by g, b or r + e, so every term is an integer times
+    exactly one c_n.  The window keeps depth+1 slots, so each derivative
     raises s by one and drops the slot that falls below the window.
     """
 
     __slots__ = ("s", "terms", "depth")
 
-    def __init__(self, s: int, terms: list[RingElem], depth: int):
+    def __init__(self, s: int, terms: list[dict], depth: int):
         if len(terms) != depth + 1:
             raise ValueError("window must hold depth+1 coefficients")
         self.s = s
@@ -343,31 +341,28 @@ class AnsatzSeries:
 
     @classmethod
     def initial(cls, depth: int) -> "AnsatzSeries":
-        return cls(0, [RingElem.c_sym(n) for n in range(depth + 1)], depth)
+        return cls(0, [{(0, 0, 0, (n,)): 1} for n in range(depth + 1)], depth)
 
-    def coeff_at_offset(self, e: int) -> RingElem:
+    def coeff_at_offset(self, e: int) -> dict:
         i = self.s - e
         if 0 <= i <= self.depth:
             return self.terms[i]
-        return RingElem.zero()
+        return {}
 
     def deriv(self) -> "AnsatzSeries":
         # d/dz: c at offset e -> g*c at e+1, b*c at e, (r+e)*c at e-1
         new = [{} for _ in range(self.depth + 1)]
         for i, c in enumerate(self.terms):
             e = self.s - i
-            for (g, b, r, cm), p in c.terms.items():
+            for (g, b, r, cm), p in c.items():
                 accumulate(new[i], (g + 1, b, r, cm), p)
                 if i + 1 <= self.depth:
                     accumulate(new[i + 1], (g, b + 1, r, cm), p)
                 if i + 2 <= self.depth:
                     accumulate(new[i + 2], (g, b, r + 1, cm), p)
                     if e:
-                        accumulate(new[i + 2], (g, b, r, cm), p.scale(e))
-        return AnsatzSeries(self.s + 1, [RingElem._wrap(t) for t in new], self.depth)
-
-    def shift_z(self, i: int) -> "AnsatzSeries":
-        return AnsatzSeries(self.s + i, self.terms, self.depth)
+                        accumulate(new[i + 2], (g, b, r, cm), p * e)
+        return AnsatzSeries(self.s + 1, new, self.depth)
 
 
 @dataclass(frozen=True)
@@ -401,8 +396,8 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5, *,
     for l in range(depth + 1):
         total = {}
         for (i, j), p in A.terms.items():
-            for key, q in series[j].coeff_at_offset(2 * k - l - i).terms.items():
-                accumulate(total, key, q * p)
+            for key, q in series[j].coeff_at_offset(2 * k - l - i).items():
+                accumulate(total, key, p.scale(q))
         levels.append(LevelEquation(l, RingElem._wrap(total)))
     return levels
 
@@ -564,6 +559,27 @@ class QuadraticRoot:
 # ---------------------------------------------------------------------------
 # branch solving
 
+def _substitute_known(elem: RingElem, gamma: RingElem | None,
+                      beta: RingElem | None, rho: QuadraticRoot | None,
+                      cs) -> RingElem:
+    """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
+
+    None stays symbolic; a surd rho reduces modulo its monic quadratic.
+    """
+    if gamma is not None:
+        elem = elem.subs("g", gamma)
+    if beta is not None:
+        elem = elem.subs("b", beta)
+    if rho is not None:
+        if rho.is_rational():
+            elem = elem.subs("r", rho.rational_value())
+        else:
+            elem = elem.rem_rho_quadratic(rho.monic_b, rho.monic_c)
+    for n, cn in enumerate(cs):
+        elem = elem.subs_c(n, cn)
+    return elem
+
+
 @dataclass(frozen=True)
 class ExponentBranch:
     """One resolved asymptotic branch, instantiated at a concrete gamma root."""
@@ -581,14 +597,7 @@ class ExponentBranch:
 
     def substitute(self, elem: RingElem) -> RingElem:
         """Substitute this branch's gamma, beta, rho and known c_n into elem."""
-        out = elem.subs("g", self.gamma).subs("b", self.beta)
-        if self.rho.is_rational():
-            out = out.subs("r", self.rho.rational_value())
-        else:
-            out = out.rem_rho_quadratic(self.rho.monic_b, self.rho.monic_c)
-        for n, cn in enumerate(self.c):
-            out = out.subs_c(n, cn)
-        return out
+        return _substitute_known(elem, self.gamma, self.beta, self.rho, self.c)
 
     def annihilates(self, level: LevelEquation) -> bool:
         return self.substitute(level.coeff.reduce(self.k)).is_zero()
@@ -695,23 +704,11 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         cs: tuple[RingElem, ...] = (one,)
         resonant: tuple[int, ...] = ()
 
-    def apply_known(eq: RingElem, st: _State) -> RingElem:
-        if st.beta is not None:
-            eq = eq.subs("b", st.beta)
-        if st.rho is not None:
-            if st.rho.is_rational():
-                eq = eq.subs("r", st.rho.rational_value())
-            else:
-                eq = eq.rem_rho_quadratic(st.rho.monic_b, st.rho.monic_c)
-        for n, cn in enumerate(st.cs):
-            eq = eq.subs_c(n, cn)
-        return eq
-
     states = [_State()]
     for l in range(1, 5):
         nxt: list[_State] = []
         for st in states:
-            eq = apply_known(reduced[l], st)
+            eq = _substitute_known(reduced[l], None, st.beta, st.rho, st.cs)
             if eq.is_zero():
                 nxt.append(st)
                 continue
@@ -778,7 +775,6 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     k = branch.k
     cs = list(branch.c)
     resonant = list(branch.resonant)
-    rho = branch.rho.rational_value()
     level_iter = iter(range(5, len(levels)))
     while len(cs) - 1 < n_max:
         try:
@@ -787,10 +783,8 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
             raise ValueError(
                 "levels exhausted before reaching n_max (a trailing resonant "
                 "coefficient needs one extra level; raise the depth)") from None
-        eq = levels[l].coeff.reduce(k).subs("g", branch.gamma)
-        eq = eq.subs("b", branch.beta).subs("r", rho)
-        for n, cn in enumerate(cs):
-            eq = eq.subs_c(n, cn)
+        eq = _substitute_known(levels[l].coeff.reduce(k), branch.gamma,
+                              branch.beta, branch.rho, cs)
         if eq.is_zero():
             continue
         pending = sorted(i for i in eq.c_indices() if i >= len(cs))

@@ -86,16 +86,19 @@ def _write_atomic(path: str, text: str) -> None:
     # open(path, "w") gets under the current umask
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kphoton-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kphoton-tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:      # missing directory, no permission, ...
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +339,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text = ns.func(ns)
-    except CliError as exc:
-        print(f"kphoton: {exc}", file=sys.stderr)
-        return 2
-    except asymptotics.OutOfScope as exc:
+        if ns.output:
+            _write_atomic(ns.output, text)
+    except (CliError, asymptotics.OutOfScope) as exc:
         print(f"kphoton: {exc}", file=sys.stderr)
         return 2
     except asymptotics.UnsolvableLevel as exc:
@@ -352,9 +354,7 @@ def main(argv=None) -> int:
     except ValueError as exc:       # domain validation inside the modules
         print(f"kphoton: {exc}", file=sys.stderr)
         return 2
-    if ns.output:
-        _write_atomic(ns.output, text)
-    else:
+    if not ns.output:
         sys.stdout.write(text)
     return 0
 

@@ -78,12 +78,17 @@ class ChainMatrix:
 
 
 def _couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
-    # g*sqrt(n!/(n-k)!) as a running product; past a double it reads inf or nan
+    """g*sqrt(n!/(n-k)!) for each n, refused once it is not a finite double."""
     w = np.ones(len(n))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(params.k):
             w *= np.sqrt(n - t)
-        return params.g * w
+        w *= params.g
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"coupling g*sqrt(n!/(n-k)!) is not a finite double at "
+                         f"k={params.k}, n={n[bad[0]]}; use a smaller N or n_max")
+    return w
 
 
 def _chain_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,12 +98,8 @@ def _chain_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]
     if N <= k:
         raise ValueError(f"need N > k, got N={N}, k={k}")
     n = np.arange(N)
-    w = _couplings(params, n[k:])
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise ValueError(f"coupling g*sqrt(n!/(n-k)!) is not a finite double at "
-                         f"k={k}, n={k + bad[0]}; use a smaller N")
-    return params.omega * n[:, None] + np.array([-params.delta, params.delta]), w
+    return (params.omega * n[:, None] + np.array([-params.delta, params.delta]),
+            _couplings(params, n[k:]))
 
 
 def build_hkp(params: ModelParams, N: int) -> ChainMatrix:

@@ -171,24 +171,33 @@ class TestQuadraticRoot:
 
 class TestAnsatzSeries:
     def test_derivative_rule_single_term(self):
-        s = AnsatzSeries.initial(5)
-        d = s.deriv()
+        d = AnsatzSeries.initial(5).deriv()
         # c_0 at offset 0 -> g c_0 at +1, b c_0 at 0, r c_0 at -1
-        assert d.coeff_at_offset(1) == RingElem({(1, 0, 0, (0,)): ParamPoly.rational(1)})
-        b_term = d.coeff_at_offset(0)
-        assert (0, 1, 0, (0,)) in b_term.terms
-        r_term = d.coeff_at_offset(-1)
-        assert (0, 0, 1, (0,)) in r_term.terms
+        assert d.coeff_at_offset(1) == {(1, 0, 0, (0,)): 1}
+        assert d.coeff_at_offset(0)[(0, 1, 0, (0,))] == 1
+        assert d.coeff_at_offset(-1)[(0, 0, 1, (0,))] == 1
         # offset -1 starts as c_1; the r-part of its derivative at -2 is (r-1)c_1
-        dm2 = d.coeff_at_offset(-2)
-        assert dm2.terms[(0, 0, 0, (1,))] == ParamPoly.rational(-1)
+        assert d.coeff_at_offset(-2)[(0, 0, 0, (1,))] == -1
 
     def test_window_truncation(self):
         s = AnsatzSeries.initial(5)
         for _ in range(3):
             s = s.deriv()
         assert s.s == 3 and len(s.terms) == 6
-        assert s.coeff_at_offset(-3).is_zero()  # fell out of the window
+        assert s.coeff_at_offset(-3) == {}  # fell out of the window
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_c0_terms_match_brute_force_oracle(self, m):
+        # at b = 0 the c_0 part of slot i is d^m e^(g z^2/2) z^r at z^(r+m-i)
+        s = AnsatzSeries.initial(8)
+        for _ in range(m):
+            s = s.deriv()
+        table = brute_force_exponent_oracle(m)
+        for i, slot in enumerate(s.terms):
+            assert all(type(v) is int for v in slot.values())
+            got = {(g, r): v for (g, b, r, c), v in slot.items() if b == 0 and c == (0,)}
+            want = {(g, r): v for (g, r, e), v in table.items() if e == m - i}
+            assert got == want
 
 
 class TestSubstituteAnsatz:

@@ -226,6 +226,14 @@ class TestJcExact:
     def test_bad_nmax(self, capsys):
         assert run(capsys, "jc-exact", "--k", "2", "--g", "1", "--n-max", "-1")[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_coupling_overflow_is_a_usage_error(self, capsys, fmt):
+        # g*sqrt((n+k)!/n!) is past the largest double already for n = 0, k = 400
+        code, out, err = run(capsys, "jc-exact", "--k", "400", "--g", "0.1",
+                             "--n-max", "3", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "k=400, n=400;" in err
+
 
 class TestPlumbing:
     def test_byte_identical_runs(self, capsys):
@@ -263,6 +271,27 @@ class TestPlumbing:
         assert code == 0
         assert out.stat().st_mode & 0o777 == 0o640
         assert trace.stat().st_mode & 0o777 == 0o640
+
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "coeffs", "--k", "3", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"kphoton: cannot write {path}: No such file or directory\n"
+
+    def test_unwritable_trace_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "trace.json"
+        code, out, err = run(capsys, "verdict", "--k", "3", "--omega", "1",
+                             "--delta", "0", "--trace", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"kphoton: cannot write {path}: No such file or directory\n"
+
+    def test_output_onto_a_directory_leaves_no_temp_file(self, capsys, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        code, out, err = run(capsys, "coeffs", "--k", "3", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"kphoton: cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
     def test_internal_inconsistency_maps_to_3(self, capsys, monkeypatch):
         # kphoton.verdict the attribute is the function; patch the module

@@ -130,6 +130,12 @@ class TestBuildJck:
         dense = build_jck(ModelParams(2, 0, 1.0, 0.3), 4).to_dense()
         assert np.array_equal(dense, np.diag(np.diag(dense)))
 
+    def test_coupling_overflow_rejected(self):
+        p = ModelParams(400, 0.1, 1.0, 0.0)
+        for build in (lambda: build_jck(p, 500), lambda: jc_blocks(p, 3)):
+            with pytest.raises(ValueError, match=r"k=400, n=400\b"):
+                build()
+
     def test_block_entries(self):
         # n=0 block at k=2: states |2,down>, |0,up>; diag (2, 0), off 0.1*sqrt(2)
         m = build_jck(ModelParams(2, 0.1, 1.0, 0), 5)
