@@ -16,7 +16,7 @@ coefficients; w, d, E live inside the ParamPoly coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -97,10 +97,6 @@ class RingElem:
     @classmethod
     def gamma(cls, power: int = 1, modulus=None, sign: int = 1):
         return cls({(power, 0, 0, ()): P_ONE.scale(sign)}, modulus)
-
-    @classmethod
-    def c_sym(cls, n: int, modulus=None):
-        return cls({(0, 0, 0, (n,)): P_ONE}, modulus)
 
     # -- predicates / accessors
     def is_zero(self) -> bool:
@@ -187,8 +183,9 @@ class RingElem:
         return RingElem(self.terms, k)
 
     # -- substitutions
-    def _subs(self, value, split) -> "RingElem":
-        # sum of rest * value^n over the terms, where split(key) = (n, rest)
+    def subs(self, symbol: str, value) -> "RingElem":
+        """Substitute value (a RingElem, ParamPoly or rational) for g, b or r."""
+        i = _SYMBOLS.index(symbol)
         if not isinstance(value, RingElem):
             value = RingElem.from_param(
                 value if isinstance(value, ParamPoly) else ParamPoly.rational(value),
@@ -197,7 +194,7 @@ class RingElem:
         powers = [RingElem.one(self.modulus)]
         out = {}
         for key, p in self.terms.items():
-            n, rest = split(key)
+            n, rest = key[i], key[:i] + (0,) + key[i + 1:]
             if n == 0:
                 accumulate(out, rest, p)
                 continue
@@ -206,16 +203,6 @@ class RingElem:
             for key2, q in (RingElem._wrap({rest: p}, self.modulus) * powers[n]).terms.items():
                 accumulate(out, key2, q)
         return RingElem._wrap(out, self.modulus)
-
-    def subs(self, symbol: str, value) -> "RingElem":
-        """Substitute value (a RingElem, ParamPoly or rational) for g, b or r."""
-        i = _SYMBOLS.index(symbol)
-        return self._subs(value, lambda key: (key[i], key[:i] + (0,) + key[i + 1:]))
-
-    def subs_c(self, n: int, value) -> "RingElem":
-        """Substitute value for the tail coefficient c_n."""
-        return self._subs(value, lambda key: (
-            key[3].count(n), key[:3] + (tuple(i for i in key[3] if i != n),)))
 
     # -- views
     def poly_in(self, symbol: str) -> dict[int, "RingElem"]:
@@ -226,22 +213,6 @@ class RingElem:
             rest = key[:i] + (0,) + key[i + 1:]
             out.setdefault(key[i], RingElem.zero(self.modulus)).terms[rest] = p
         return out
-
-    def linear_in_c(self, n: int) -> tuple["RingElem", "RingElem"]:
-        """Split as K*c_n + R; raises if c_n appears nonlinearly."""
-        K = RingElem.zero(self.modulus)
-        R = RingElem.zero(self.modulus)
-        for (g, b, r, c), p in self.terms.items():
-            m = c.count(n)
-            if m == 0:
-                R.terms[(g, b, r, c)] = p
-            elif m == 1:
-                rest = tuple(i for i in c if i != n)
-                key = (g, b, r, rest)
-                K.terms[key] = K.terms.get(key, P_ZERO) + p
-            else:
-                raise ValueError(f"c{n} appears with power {m}")
-        return K, R
 
     def rem_rho_quadratic(self, b: ParamPoly, c: ParamPoly) -> "RingElem":
         """Remainder modulo r^2 + b r + c (so zero iff divisible)."""
@@ -564,7 +535,10 @@ def _substitute_known(elem: RingElem, gamma: RingElem | None,
                       cs) -> RingElem:
     """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
 
-    None stays symbolic; a surd rho reduces modulo its monic quadratic.
+    None stays symbolic; a surd rho reduces modulo its monic quadratic.  The
+    known c_n go in one pass: the series is linear in the tail, so every term
+    carries exactly one c_n, and every known value is c-free (_solve_c checks
+    this), so a substituted value never brings in a c_j left to replace.
     """
     if gamma is not None:
         elem = elem.subs("g", gamma)
@@ -575,9 +549,15 @@ def _substitute_known(elem: RingElem, gamma: RingElem | None,
             elem = elem.subs("r", rho.rational_value())
         else:
             elem = elem.rem_rho_quadratic(rho.monic_b, rho.monic_c)
-    for n, cn in enumerate(cs):
-        elem = elem.subs_c(n, cn)
-    return elem
+    out = {}
+    for key, p in elem.terms.items():
+        if not key[3] or key[3][0] >= len(cs):
+            accumulate(out, key, p)
+            continue
+        (n,) = key[3]
+        for (g, b, r, _), q in cs[n].terms.items():
+            accumulate(out, (key[0] + g, key[1] + b, key[2] + r, ()), p * q)
+    return RingElem(out, elem.modulus)
 
 
 @dataclass(frozen=True)
@@ -657,14 +637,22 @@ def _solve_rho(eq: RingElem, level: int) -> list[QuadraticRoot]:
     raise UnsolvableLevel(level, eq.text(), "no r present where r is expected")
 
 
-def _solve_c(eq: RingElem, n: int, level: int) -> tuple[RingElem, bool]:
-    """Solve K*c_n + R = 0; returns (value, resonant_flag)."""
-    K, R = eq.linear_in_c(n)
-    if K.is_zero():
-        if R.is_zero():
-            return RingElem.zero(eq.modulus), True   # free coefficient, pin to 0
-        raise UnsolvableLevel(level, R.text(), f"c{n} dropped out with nonzero residual")
-    return (-R).div_unit(K), False
+def _solve_c(eq: RingElem, n: int, level: int) -> RingElem:
+    """Solve K*c_n + R = 0 for c_n, which occurs in eq.
+
+    R must be c-free: a value written in terms of another unknown would break
+    the one-pass substitution in _substitute_known.
+    """
+    K, R = {}, {}
+    for (g, b, r, c), p in eq.terms.items():
+        if c == (n,):
+            K[(g, b, r, ())] = p
+        else:
+            R[(g, b, r, c)] = p
+    R = RingElem._wrap(R, eq.modulus)
+    if R.c_indices():
+        raise UnsolvableLevel(level, R.text(), "more than one unknown c_n at this level")
+    return (-R).div_unit(RingElem._wrap(K, eq.modulus))
 
 
 def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
@@ -692,7 +680,7 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
 
     one = RingElem.one(k)
     # only levels 0..4 fix the exponents; the deeper ones are c_recursion's
-    reduced = [lv.coeff.reduce(k).subs_c(0, one) for lv in levels[:5]]
+    reduced = [lv.coeff.reduce(k) for lv in levels[:5]]
 
     # triangular elimination over the generator: beta, then rho, then forced c_n
     @dataclass
@@ -702,7 +690,6 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         rho: QuadraticRoot | None = None
         rho_index: int = 0
         cs: tuple[RingElem, ...] = (one,)
-        resonant: tuple[int, ...] = ()
 
     states = [_State()]
     for l in range(1, 5):
@@ -724,16 +711,13 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
                     raise UnsolvableLevel(l, eq.text(),
                                           "nonzero level before r was determined")
                 for i, rval in enumerate(_solve_rho(eq, l)):
-                    nxt.append(_State(st.beta, st.beta_index, rval, i,
-                                      st.cs, st.resonant))
+                    nxt.append(_State(st.beta, st.beta_index, rval, i, st.cs))
                 continue
             n = len(st.cs)
             if n not in eq.c_indices():
                 raise UnsolvableLevel(l, eq.text(), f"expected c{n} at this level")
-            val, resonant = _solve_c(eq, n, l)
             nxt.append(_State(st.beta, st.beta_index, st.rho, st.rho_index,
-                              st.cs + (val,),
-                              st.resonant + ((n,) if resonant else ())))
+                              st.cs + (_solve_c(eq, n, l),)))
         states = nxt
 
     branches = []
@@ -744,8 +728,7 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
                 beta=st.beta.subs("g", groot),
                 rho=st.rho,
                 c=tuple(ci.subs("g", groot) for ci in st.cs),
-                beta_index=st.beta_index, rho_index=st.rho_index,
-                resonant=st.resonant)
+                beta_index=st.beta_index, rho_index=st.rho_index)
             branches.append(br)
     branches.sort(key=lambda b: (b.gamma_index, b.beta_index, b.rho_index))
 
@@ -775,40 +758,30 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     k = branch.k
     cs = list(branch.c)
     resonant = list(branch.resonant)
-    level_iter = iter(range(5, len(levels)))
-    while len(cs) - 1 < n_max:
-        try:
-            l = next(level_iter)
-        except StopIteration:
-            raise ValueError(
-                "levels exhausted before reaching n_max (a trailing resonant "
-                "coefficient needs one extra level; raise the depth)") from None
+    for l in range(5, len(levels)):
+        if len(cs) > n_max:
+            break
         eq = _substitute_known(levels[l].coeff.reduce(k), branch.gamma,
                               branch.beta, branch.rho, cs)
         if eq.is_zero():
             continue
-        pending = sorted(i for i in eq.c_indices() if i >= len(cs))
-        if not pending:
+        unknown = eq.c_indices()
+        if not unknown:
             raise UnsolvableLevel(l, eq.text(),
                                   "nonzero residual with every c_n already fixed")
-        target = pending[0]
+        target = min(unknown)
         # levels that vanished identically left earlier c_n unconstrained:
         # pin them to 0 and record the resonance
-        while len(cs) < target and len(cs) - 1 < n_max:
+        while len(cs) < target and len(cs) <= n_max:
             resonant.append(len(cs))
             cs.append(RingElem.zero(k))
-        if len(cs) - 1 >= n_max:
-            break
-        val, is_res = _solve_c(eq, target, l)
-        cs.append(val)
-        if is_res:
-            resonant.append(target)
-    return ExponentBranch(
-        k=k, gamma_index=branch.gamma_index, gamma=branch.gamma,
-        beta=branch.beta, rho=branch.rho, c=tuple(cs),
-        gamma_multiplicity=branch.gamma_multiplicity,
-        beta_index=branch.beta_index, rho_index=branch.rho_index,
-        resonant=tuple(resonant))
+        if len(cs) <= n_max:
+            cs.append(_solve_c(eq, target, l))
+    if len(cs) <= n_max:
+        raise ValueError(
+            "levels exhausted before reaching n_max (a trailing resonant "
+            "coefficient needs one extra level; raise the depth)")
+    return replace(branch, c=tuple(cs), resonant=tuple(resonant))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -233,8 +234,8 @@ def _params(ns) -> fock.ModelParams:
 
 def _cmd_sweep(ns) -> str:
     params = _params(ns)
-    if ns.tol <= 0:
-        raise CliError("tol must be positive")
+    if not (math.isfinite(ns.tol) and ns.tol > 0):
+        raise CliError(f"tol must be positive and finite, got {ns.tol!r}")
     try:
         sweep = fock.convergence_sweep(params, ns.sizes, m=ns.m, tol=ns.tol)
     except ValueError as exc:
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
         return 3
     except (asymptotics.DivisionByNonUnit, RuntimeError) as exc:
         print(f"kphoton: solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("kphoton: out of memory; use a smaller N or n_max", file=sys.stderr)
         return 3
     except ValueError as exc:       # domain validation inside the modules
         print(f"kphoton: {exc}", file=sys.stderr)

@@ -79,6 +79,8 @@ class ChainMatrix:
 
 def _couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
     """g*sqrt(n!/(n-k)!) for each n, refused once it is not a finite double."""
+    if params.g == 0:
+        return np.zeros(len(n))     # sqrt(n!/(n-k)!) may overflow, and 0*inf is nan
     w = np.ones(len(n))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(params.k):

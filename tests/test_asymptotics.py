@@ -13,6 +13,7 @@ from kphoton.asymptotics import (
     QuadraticRoot,
     RingElem,
     UnsolvableLevel,
+    _solve_c,
     assemble_final_quadratic,
     brute_force_exponent_oracle,
     c0_closed,
@@ -69,13 +70,6 @@ class TestRingElem:
         val = G(3, k)
         got = expr.subs("b", val)
         assert got == val * val * RingElem.one(k).scale(3) + RingElem.gamma(2, k)
-
-    def test_linear_in_c(self):
-        k = 3
-        c2 = RingElem.c_sym(2, k)
-        expr = c2 * G(1, k, 4) + RingElem.one(k).scale(7)
-        K, R = expr.linear_in_c(2)
-        assert K == G(1, k, 4) and R == RingElem.one(k).scale(7)
 
     def test_rem_rho_quadratic(self):
         # r^2 + 3r + 2 kills r = -1 and r = -2
@@ -238,10 +232,13 @@ class TestSubstituteAnsatz:
         assert lvl3.is_zero()
 
     def test_levels_are_linear_in_c(self):
-        for k in (3, 4, 6):
-            for lv in levels_for(k):
-                for n in lv.coeff.c_indices():
-                    lv.coeff.linear_in_c(n)   # raises if any c appears squared
+        # the one-pass substitution of the known c_n relies on both facts
+        for k in range(3, 13):
+            levels = levels_for(k, 16)
+            assert all(len(key[3]) == 1 for lv in levels for key in lv.coeff.terms)
+            for b in solve_levels(levels, k):
+                assert not b.beta.c_indices()
+                assert not any(c.c_indices() for c in b.c)
 
     # sha256 of the rendered levels 0..16; the only direct check of levels past 5
     @pytest.mark.parametrize("k, digest", [
@@ -345,6 +342,25 @@ class TestSolveLevels:
             assert b.beta.is_zero()
 
 
+class TestSolveC:
+    def test_returns_minus_r_over_k(self):
+        k = 3
+        eq = RingElem({(1, 0, 0, (2,)): ParamPoly.rational(4),
+                       (0, 0, 0, ()): W}, k)
+        # 4g*c2 + w = 0  ->  c2 = -w/(4g) = (w/4) g^2, using g^3 = -1
+        assert _solve_c(eq, 2, 6) == G(2, k).scale(W.scale(Fraction(1, 4)))
+
+    def test_two_unknowns_rejected(self):
+        k = 3
+        eq = RingElem({(1, 0, 0, (2,)): ParamPoly.rational(4),
+                       (0, 0, 0, (3,)): W}, k)
+        with pytest.raises(UnsolvableLevel) as info:
+            _solve_c(eq, 2, 6)
+        assert info.value.level == 6
+        assert info.value.reason == "more than one unknown c_n at this level"
+        assert info.value.residual == "w*c3"
+
+
 class TestCRecursion:
     def test_k5_plus_branch_frozen_tail(self):
         levels = levels_for(5, 11)
@@ -403,6 +419,31 @@ class TestCRecursion:
         br = solve_levels(levels, 5)[0]
         with pytest.raises(ValueError, match="depth"):
             c_recursion(br, levels, 3)
+
+    # sha256 of the rendered c_0..c_12 of the last branch; depth 18 leaves
+    # one spare level and gives the same tails as depth 32
+    @pytest.mark.parametrize("k, digest", [
+        (3, "a15ad766a0e8cf7b08fa6e030d3245bec432c001a396bc2a7b3e095e28d570d8"),
+        (5, "6282547d2637e3e27b32c6816785cb224495940cdaed48babcff18dd8d003f81"),
+        (7, "78991d1a1aa132696c85d91f99a4c83314c14b805f111c29180b88b808931ef5"),
+        (9, "4807a1b9cb5b6ea802dd06f677d339e5aa7c6687dc75644851f40dd7ec1bf749"),
+        (12, "d2b265b7f84e741ae4539de0af1fa9c019b002ead0d5f9a71d8bb8ea9edfbccd"),
+    ])
+    def test_tails_pinned(self, k, digest):
+        levels = levels_for(k, 18)
+        ext = c_recursion(solve_levels(levels, k)[-1], levels, 12)
+        text = "\n".join(c.text() for c in ext.c)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert ext.resonant == ()
+
+    def test_k6_resonance_pinned(self):
+        # rho = -5/2 and -13/2 differ by 4: level 8 leaves a nonzero obstruction
+        levels = levels_for(6, 18)
+        with pytest.raises(UnsolvableLevel) as info:
+            c_recursion(solve_levels(levels, 6)[0], levels, 12)
+        assert info.value.level == 8
+        assert info.value.reason == "nonzero residual with every c_n already fixed"
+        assert info.value.residual == "w^2*g2"
 
     def test_n_zero_is_identity(self):
         levels = levels_for(5)

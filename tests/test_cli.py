@@ -197,6 +197,19 @@ class TestSweep:
         assert run(capsys, "sweep", "--k", "1", "--g", "1", "--tol", "0",
                    "--N", "20,40,60")[0] == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, capsys, tol):
+        code, out, err = run(capsys, "sweep", "--k", "2", "--g", "0.3", "--tol", tol,
+                             "--N", "20,40,60", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "tol must be positive and finite" in err
+
+    def test_zero_coupling_at_large_k(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--k", "400", "--g", "0",
+                           "--N", "500,600,700", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["E_min_series"] == [0.0, 0.0, 0.0]
+
     def test_coupling_overflow_is_a_usage_error(self, capsys):
         # g*sqrt(n!/(n-k)!) is past the largest double from n = k = 400 on
         code, out, err = run(capsys, "sweep", "--k", "400", "--g", "0.1",
@@ -233,6 +246,14 @@ class TestJcExact:
                              "--n-max", "3", "--format", fmt)
         assert (code, out) == (2, "")
         assert "k=400, n=400;" in err
+
+    def test_zero_coupling_at_large_k(self, capsys):
+        code, out, _ = run(capsys, "jc-exact", "--k", "400", "--g", "0",
+                           "--n-max", "3", "--format", "json")
+        assert code == 0
+        # the k uncoupled levels n < 400, then each block's w*(n+k) and w*n
+        want = sorted([*range(400), *range(400, 404), *range(4)])
+        assert json.loads(out)["eigenvalues"] == want
 
 
 class TestPlumbing:
@@ -328,6 +349,15 @@ class TestPlumbing:
         code, _, err = run(capsys, "sweep", "--k", "1", "--g", "1",
                            "--N", "20,40,60")
         assert code == 3 and "eigensolver" in err
+
+    def test_memory_error_maps_to_3(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr(cli.fock, "jck_exact_spectrum", boom)
+        code, out, err = run(capsys, "jc-exact", "--k", "2", "--g", "0.3",
+                             "--n-max", "100000000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("kphoton:") and "memory" in err
 
     def test_module_entrypoint(self):
         proc = subprocess.run(

@@ -120,6 +120,11 @@ class TestBuildHkp:
         with pytest.raises(ValueError, match=rf"k=200, n={first}\b"):
             build_hkp(ModelParams(200, 1.0, 1.0, 0.0), 5000)
 
+    def test_zero_coupling_at_large_k(self):
+        # sqrt(n!/(n-k)!) is past the largest double here, but g = 0 zeroes it
+        m = build_hkp(ModelParams(400, 0.0, 1.0, 0.0), 500)
+        assert all(np.all(off == 0) for _, _, off in m.chains)
+
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
             build_hkp(ModelParams(3, 1, 1, 0), 3)
