@@ -336,6 +336,10 @@ class AnsatzSeries:
         return AnsatzSeries(self.s + 1, new, self.depth)
 
 
+# cost guard: the deepest level substitute_ansatz collects
+_MAX_DEPTH = 32
+
+
 @dataclass(frozen=True)
 class LevelEquation:
     level: int
@@ -345,8 +349,7 @@ class LevelEquation:
         return self.coeff.text()
 
 
-def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5, *,
-                      cap: int = 32) -> list[LevelEquation]:
+def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEquation]:
     """Collect levels 0..depth: level l is the coefficient of z^(r + 2k - l).
 
     The c_0..c_depth stay symbolic; gamma is a free symbol here (the quotient
@@ -357,8 +360,8 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5, *,
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if depth < 5:
         raise ValueError("depth must be at least 5 (levels 0..4 fix the exponents)")
-    if depth > cap:
-        raise ValueError(f"depth {depth} exceeds the cap {cap}")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
     max_j = max((j for _, j in A.terms), default=0)
     series = [AnsatzSeries.initial(depth)]
     for _ in range(max_j):
@@ -530,45 +533,19 @@ class QuadraticRoot:
 # ---------------------------------------------------------------------------
 # branch solving
 
-def _substitute_known(elem: RingElem, gamma: RingElem | None,
-                      beta: RingElem | None, rho: QuadraticRoot | None,
-                      cs) -> RingElem:
-    """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
-
-    None stays symbolic; a surd rho reduces modulo its monic quadratic.  The
-    known c_n go in one pass: the series is linear in the tail, so every term
-    carries exactly one c_n, and every known value is c-free (_solve_c checks
-    this), so a substituted value never brings in a c_j left to replace.
-    """
-    if gamma is not None:
-        elem = elem.subs("g", gamma)
-    if beta is not None:
-        elem = elem.subs("b", beta)
-    if rho is not None:
-        if rho.is_rational():
-            elem = elem.subs("r", rho.rational_value())
-        else:
-            elem = elem.rem_rho_quadratic(rho.monic_b, rho.monic_c)
-    out = {}
-    for key, p in elem.terms.items():
-        if not key[3] or key[3][0] >= len(cs):
-            accumulate(out, key, p)
-            continue
-        (n,) = key[3]
-        for (g, b, r, _), q in cs[n].terms.items():
-            accumulate(out, (key[0] + g, key[1] + b, key[2] + r, ()), p * q)
-    return RingElem(out, elem.modulus)
-
-
 @dataclass(frozen=True)
 class ExponentBranch:
-    """One resolved asymptotic branch, instantiated at a concrete gamma root."""
+    """One asymptotic branch, instantiated at a concrete gamma root.
+
+    While solve_levels runs, gamma, beta and rho are None until a level fixes
+    them; every branch it returns has all three.
+    """
 
     k: int
     gamma_index: int          # m: the root exp(i(2m+1)pi/k) of g^k = -1
-    gamma: RingElem           # +-g^p realizing that root in the quotient ring
-    beta: RingElem
-    rho: QuadraticRoot
+    gamma: RingElem | None    # +-g^p realizing that root in the quotient ring
+    beta: RingElem | None
+    rho: QuadraticRoot | None
     c: tuple[RingElem, ...] = field(default=())   # c_0 = 1 normalization
     gamma_multiplicity: int = 2
     beta_index: int = 0
@@ -576,8 +553,31 @@ class ExponentBranch:
     resonant: tuple[int, ...] = ()
 
     def substitute(self, elem: RingElem) -> RingElem:
-        """Substitute this branch's gamma, beta, rho and known c_n into elem."""
-        return _substitute_known(elem, self.gamma, self.beta, self.rho, self.c)
+        """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
+
+        None stays symbolic; a surd rho reduces modulo its monic quadratic.  The
+        known c_n go in one pass: the series is linear in the tail, so every term
+        carries exactly one c_n, and every known value is c-free (_solve_c checks
+        this), so a substituted value never brings in a c_j left to replace.
+        """
+        if self.gamma is not None:
+            elem = elem.subs("g", self.gamma)
+        if self.beta is not None:
+            elem = elem.subs("b", self.beta)
+        if self.rho is not None:
+            if self.rho.is_rational():
+                elem = elem.subs("r", self.rho.rational_value())
+            else:
+                elem = elem.rem_rho_quadratic(self.rho.monic_b, self.rho.monic_c)
+        out = {}
+        for key, p in elem.terms.items():
+            if not key[3] or key[3][0] >= len(self.c):
+                accumulate(out, key, p)
+                continue
+            (n,) = key[3]
+            for (g, b, r, _), q in self.c[n].terms.items():
+                accumulate(out, (key[0] + g, key[1] + b, key[2] + r, ()), p * q)
+        return RingElem(out, elem.modulus)
 
     def annihilates(self, level: LevelEquation) -> bool:
         return self.substitute(level.coeff.reduce(self.k)).is_zero()
@@ -641,7 +641,7 @@ def _solve_c(eq: RingElem, n: int, level: int) -> RingElem:
     """Solve K*c_n + R = 0 for c_n, which occurs in eq.
 
     R must be c-free: a value written in terms of another unknown would break
-    the one-pass substitution in _substitute_known.
+    the one-pass substitution in ExponentBranch.substitute.
     """
     K, R = {}, {}
     for (g, b, r, c), p in eq.terms.items():
@@ -653,6 +653,38 @@ def _solve_c(eq: RingElem, n: int, level: int) -> RingElem:
     if R.c_indices():
         raise UnsolvableLevel(level, R.text(), "more than one unknown c_n at this level")
     return (-R).div_unit(RingElem._wrap(K, eq.modulus))
+
+
+def _advance(branch: ExponentBranch, eq: RingElem, level: int,
+             n_max: int) -> list[ExponentBranch]:
+    """Successors of branch after the nonzero substituted level eq.
+
+    The elimination order is b, then r, then the lowest unknown c_n up to
+    c_n_max.  A c_n skipped by levels that vanished identically is left free:
+    it is pinned to 0 and recorded in resonant.
+    """
+    if branch.beta is None:
+        if not eq.max_b():
+            raise UnsolvableLevel(level, eq.text(), "nonzero level before b was determined")
+        return [replace(branch, beta=b, beta_index=i)
+                for i, b in enumerate(_solve_beta(eq, level))]
+    if branch.rho is None:
+        if not eq.max_r():
+            raise UnsolvableLevel(level, eq.text(), "nonzero level before r was determined")
+        return [replace(branch, rho=r, rho_index=i)
+                for i, r in enumerate(_solve_rho(eq, level))]
+    unknown = eq.c_indices()
+    if not unknown:
+        raise UnsolvableLevel(level, eq.text(),
+                              "nonzero residual with every c_n already fixed")
+    target = min(unknown)
+    cs, resonant = list(branch.c), list(branch.resonant)
+    while len(cs) < target and len(cs) <= n_max:
+        resonant.append(len(cs))
+        cs.append(RingElem.zero(branch.k))
+    if len(cs) <= n_max:
+        cs.append(_solve_c(eq, target, level))
+    return [replace(branch, c=tuple(cs), resonant=tuple(resonant))]
 
 
 def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
@@ -678,62 +710,26 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         raise UnsolvableLevel(0, lvl0.text(),
                               "level 0 does not factor as a unit times (g^k+1)^2*c0")
 
-    one = RingElem.one(k)
-    # only levels 0..4 fix the exponents; the deeper ones are c_recursion's
-    reduced = [lv.coeff.reduce(k) for lv in levels[:5]]
+    # triangular elimination over levels 1..4 with g symbolic; level l holds
+    # no c_n past c_l, so n_max = 4 never truncates
+    partial = [ExponentBranch(k, 0, None, None, None, c=(RingElem.one(k),))]
+    for lv in levels[1:5]:
+        coeff, nxt = lv.coeff.reduce(k), []
+        for br in partial:
+            eq = br.substitute(coeff)
+            nxt.extend(_advance(br, eq, lv.level, 4) if eq else [br])
+        partial = nxt
 
-    # triangular elimination over the generator: beta, then rho, then forced c_n
-    @dataclass
-    class _State:
-        beta: RingElem | None = None
-        beta_index: int = 0
-        rho: QuadraticRoot | None = None
-        rho_index: int = 0
-        cs: tuple[RingElem, ...] = (one,)
-
-    states = [_State()]
-    for l in range(1, 5):
-        nxt: list[_State] = []
-        for st in states:
-            eq = _substitute_known(reduced[l], None, st.beta, st.rho, st.cs)
-            if eq.is_zero():
-                nxt.append(st)
-                continue
-            if st.beta is None:
-                if not eq.max_b():
-                    raise UnsolvableLevel(l, eq.text(),
-                                          "nonzero level before b was determined")
-                for i, bval in enumerate(_solve_beta(eq, l)):
-                    nxt.append(_State(beta=bval, beta_index=i))
-                continue
-            if st.rho is None:
-                if not eq.max_r():
-                    raise UnsolvableLevel(l, eq.text(),
-                                          "nonzero level before r was determined")
-                for i, rval in enumerate(_solve_rho(eq, l)):
-                    nxt.append(_State(st.beta, st.beta_index, rval, i, st.cs))
-                continue
-            n = len(st.cs)
-            if n not in eq.c_indices():
-                raise UnsolvableLevel(l, eq.text(), f"expected c{n} at this level")
-            nxt.append(_State(st.beta, st.beta_index, st.rho, st.rho_index,
-                              st.cs + (_solve_c(eq, n, l),)))
-        states = nxt
-
-    branches = []
-    for m, groot in enumerate(gamma_root_elements(k)):
-        for st in states:
-            br = ExponentBranch(
-                k=k, gamma_index=m, gamma=groot,
-                beta=st.beta.subs("g", groot),
-                rho=st.rho,
-                c=tuple(ci.subs("g", groot) for ci in st.cs),
-                beta_index=st.beta_index, rho_index=st.rho_index)
-            branches.append(br)
+    branches = [replace(br, gamma_index=m, gamma=groot, beta=br.beta.subs("g", groot),
+                        c=tuple(ci.subs("g", groot) for ci in br.c))
+                for m, groot in enumerate(gamma_root_elements(k)) for br in partial]
     branches.sort(key=lambda b: (b.gamma_index, b.beta_index, b.rho_index))
 
     for br in branches[: max(1, len(branches) // k)]:
-        # one gamma root suffices: the others are ring automorphic images
+        # the m = 0 branches take gamma = g: they are the symbolic solution.
+        # Every other branch is its image under the ring homomorphism
+        # g -> gamma, which keeps a zero level zero (it need not be an
+        # automorphism: at k = 3 one root is g -> -1)
         for lv in levels[:5]:
             if not br.annihilates(lv):
                 raise UnsolvableLevel(lv.level, br.substitute(
@@ -755,33 +751,17 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     if not branch.rho.is_rational():
         raise ValueError("tail recursion needs a rational rho branch; "
                          f"got {branch.rho.text()}")
-    k = branch.k
-    cs = list(branch.c)
-    resonant = list(branch.resonant)
-    for l in range(5, len(levels)):
-        if len(cs) > n_max:
+    for lv in levels[5:]:
+        if len(branch.c) > n_max:
             break
-        eq = _substitute_known(levels[l].coeff.reduce(k), branch.gamma,
-                              branch.beta, branch.rho, cs)
-        if eq.is_zero():
-            continue
-        unknown = eq.c_indices()
-        if not unknown:
-            raise UnsolvableLevel(l, eq.text(),
-                                  "nonzero residual with every c_n already fixed")
-        target = min(unknown)
-        # levels that vanished identically left earlier c_n unconstrained:
-        # pin them to 0 and record the resonance
-        while len(cs) < target and len(cs) <= n_max:
-            resonant.append(len(cs))
-            cs.append(RingElem.zero(k))
-        if len(cs) <= n_max:
-            cs.append(_solve_c(eq, target, l))
-    if len(cs) <= n_max:
+        eq = branch.substitute(lv.coeff.reduce(branch.k))
+        if eq:
+            (branch,) = _advance(branch, eq, lv.level, n_max)
+    if len(branch.c) <= n_max:
         raise ValueError(
             "levels exhausted before reaching n_max (a trailing resonant "
             "coefficient needs one extra level; raise the depth)")
-    return replace(branch, c=tuple(cs), resonant=tuple(resonant))
+    return branch
 
 
 # ---------------------------------------------------------------------------

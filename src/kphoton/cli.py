@@ -20,7 +20,7 @@ import tempfile
 from fractions import Fraction
 
 from . import asymptotics
-from .verdict import verdict as run_verdict
+from .verdict import _exponent_pipeline, verdict as run_verdict
 from .weyl import a_coeff, build_reduced_operator
 
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
@@ -130,18 +130,13 @@ def _cmd_ode(ns) -> str:
     return op.text() + "\n"
 
 
-def _branches(k: int):
-    levels = asymptotics.substitute_ansatz(build_reduced_operator(k), k, 5)
-    return asymptotics.solve_levels(levels, k)
-
-
 def _cmd_exponents(ns) -> str:
     if ns.k == 2:
         raise CliError("k = 2 is out of scope for the exponent pipeline: the "
                        "Gaussian exponent is not a root of unity there; use "
                        "the sweep subcommand for the truncation numerics")
     k = _check_k(ns.k, 3, 12, "exponents")
-    branches = _branches(k)
+    _, branches = _exponent_pipeline(k)
     rows = [{"gamma_power": 2 * b.gamma_index + 1,
              "gamma": b.gamma.text(),
              "beta": b.beta.text(),

@@ -260,6 +260,8 @@ def classify_convergence(sweep: SpectrumSweep, tol: float = 1e-6,
     """
     if len(sweep.N_list) < 3:
         raise ValueError("need at least 3 truncation sizes")
+    if any(len(row) < 2 for row in sweep.eigenvalues):
+        raise ValueError("need m >= 2 for gap statistics")
     e = [row[0] for row in sweep.eigenvalues]
     spread = [(row[-1] - row[0]) / (len(row) - 1) for row in sweep.eigenvalues]
     slow_drift = abs(e[-1] - e[0]) <= max(1.0, abs(e[0]))

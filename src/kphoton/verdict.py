@@ -22,6 +22,7 @@ from .asymptotics import (
     ExponentBranch,
     LevelEquation,
     OutOfScope,
+    QuadraticRoot,
     solve_levels,
     substitute_ansatz,
 )
@@ -152,16 +153,20 @@ def _sign_x_plus_y_sqrt_d(x: Fraction, y: Fraction, d: Fraction) -> int:
     return (1 if x > 0 else -1) if lhs > rhs else (1 if y > 0 else -1)
 
 
-def _sqrt_approx(d: Fraction) -> float:
-    # display only; all decisions are exact
-    return math.sqrt(d.numerator / d.denominator) if d >= 0 else float("nan")
-
-
 def _eval_param(p: ParamPoly, omega: Fraction, what: str) -> Fraction:
     for name in ("d", "E"):
         if p.uses(name):
             raise ValueError(f"{what} unexpectedly depends on {name}")
     return p.evaluate(omega, 0, 0)
+
+
+def _rho_at(rho: QuadraticRoot, omega: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """rho = r + s*sqrt(d) at omega as (r, s, d); s = d = 0 for a rational root."""
+    r = _eval_param(rho.rational, omega, "rho rational part")
+    if rho.is_rational():
+        return r, Fraction(0), Fraction(0)
+    return (r, _eval_param(rho.surd, omega, "rho surd part"),
+            _eval_param(rho.disc, omega, "rho discriminant"))
 
 
 @dataclass(frozen=True)
@@ -181,22 +186,14 @@ def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     omega = Fraction(omega)
     if omega <= 0:
         raise ValueError("omega must be positive")
-    rho = branch.rho
-    r_val = _eval_param(rho.rational, omega, "rho rational part")
-    if rho.is_rational():
-        re, approx = r_val, float(r_val)
-        sign = ((re + Fraction(1, 2)) > 0) - ((re + Fraction(1, 2)) < 0)
+    r, s, d = _rho_at(branch.rho, omega)
+    if d > 0:
+        # real surd pair; display only, the sign below is exact
+        re, approx = None, float(r) + float(s) * math.sqrt(d.numerator / d.denominator)
     else:
-        s_val = _eval_param(rho.surd, omega, "rho surd part")
-        d_val = _eval_param(rho.disc, omega, "rho discriminant")
-        if d_val <= 0:
-            # complex pair (or collapsed double root): real part is r_val
-            re, approx = r_val, float(r_val)
-            sign = ((re + Fraction(1, 2)) > 0) - ((re + Fraction(1, 2)) < 0)
-        else:
-            re = None
-            approx = float(r_val) + float(s_val) * _sqrt_approx(d_val)
-            sign = _sign_x_plus_y_sqrt_d(r_val + Fraction(1, 2), s_val, d_val)
+        # rational, a complex pair, or a collapsed double root: Re(rho) = r
+        re, approx = r, float(r)
+    sign = _sign_x_plus_y_sqrt_d(r + Fraction(1, 2), s, max(d, 0))
     line = critical_lines(branch.k)[branch.gamma_index]
     return NormalizabilityReport(
         branch=branch, re_rho=re, re_rho_approx=approx,
@@ -270,17 +267,10 @@ class VerdictReport:
 
 
 def _rho_json(branch: ExponentBranch, omega: Fraction) -> dict:
-    rho = branch.rho
-    if rho.is_rational():
-        return {"re": str(_eval_param(rho.rational, omega, "rho"))}
-    r_val = _eval_param(rho.rational, omega, "rho rational part")
-    s_val = _eval_param(rho.surd, omega, "rho surd part")
-    d_val = _eval_param(rho.disc, omega, "rho discriminant")
-    if d_val == 0:
-        return {"re": str(r_val)}
-    if d_val > 0:
-        return {"re": str(r_val), "surd": {"coeff": str(s_val), "disc": str(d_val)}}
-    return {"re": str(r_val), "im": {"coeff": str(s_val), "disc": str(-d_val)}}
+    r, s, d = _rho_at(branch.rho, omega)
+    if d == 0:
+        return {"re": str(r)}
+    return {"re": str(r), "surd" if d > 0 else "im": {"coeff": str(s), "disc": str(abs(d))}}
 
 
 def _build_trace(k, levels, branches, reports) -> dict:

@@ -199,9 +199,8 @@ class TestSubstituteAnsatz:
         op = build_reduced_operator(3)
         with pytest.raises(ValueError):
             substitute_ansatz(op, 3, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds the cap 32"):
             substitute_ansatz(op, 3, 33)
-        substitute_ansatz(op, 3, 20, cap=20)
 
     def test_k5_level0_shows_double_root_factor(self):
         levels = levels_for(5)
@@ -435,6 +434,15 @@ class TestCRecursion:
         text = "\n".join(c.text() for c in ext.c)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert ext.resonant == ()
+
+    # the two rational rho roots (1-k)/2 and (5-3k)/2 differ by k-2, and on
+    # the first branch that level's obstruction vanishes: c_(k-2) is pinned
+    @pytest.mark.parametrize("k", [5, 7, 8, 9, 10, 11, 12])
+    def test_integer_rho_gap_pins_c(self, k):
+        levels = levels_for(k, 18)
+        ext = c_recursion(solve_levels(levels, k)[0], levels, 12)
+        assert ext.resonant == (k - 2,)
+        assert ext.c[k - 2].is_zero()
 
     def test_k6_resonance_pinned(self):
         # rho = -5/2 and -13/2 differ by 4: level 8 leaves a nonzero obstruction

@@ -337,7 +337,7 @@ class TestPlumbing:
     def test_unsolvable_level_maps_to_3(self, capsys, monkeypatch):
         def boom(k):
             raise asymptotics.UnsolvableLevel(7, "g2*c4", "nonzero residual")
-        monkeypatch.setattr(cli, "_branches", boom)
+        monkeypatch.setattr(cli, "_exponent_pipeline", boom)
         code, _, err = run(capsys, "exponents", "--k", "5")
         assert code == 3
         assert "g2*c4" in err and "level 7" in err

@@ -359,6 +359,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_convergence(sweep)
 
+    def test_needs_two_eigenvalues_per_row(self):
+        sweep = _synthetic([(-1.0,), (-1.0,), (-1.0,)])
+        with pytest.raises(ValueError, match="need m >= 2 for gap statistics"):
+            classify_convergence(sweep)
+
 
 class TestConvergenceSweep:
     def test_k1_converges(self):
