@@ -5,8 +5,12 @@ operator, collects the coefficient of each power z^(r + 2k - l) (level l) and
 solves the levels in the fixed order g, b, r, c_1, c_2, ... over the quotient
 ring Q(w,d,E)[g]/(g^k + 1).  Everything is exact; no floating point.
 
-Differentiating the ansatz only multiplies by g, b and r + e, so the series
-holds integers; w, d, E enter only when substitute_ansatz collects a level.
+Only the c_0 series e^(g z^2/2 + b z) z^r is differentiated, and
+differentiating it only multiplies by g, b and r + e, so it holds integers.
+The c_n term is the c_0 term at r - n, so the c_n part of level l is the c_0
+part of level l - n with r shifted to r - n (the Frobenius structure of the
+recurrence).  w, d, E enter when substitute_ansatz applies the operator, over
+one common denominator; Fractions are made only for the finished levels.
 
 Symbol conventions in rendered output: g is the Gaussian exponent generator
 (g^k = -1), b the linear exponent, r the power-law exponent, c0..cL the tail
@@ -293,12 +297,13 @@ class RingElem:
 # ansatz series and level extraction
 
 class AnsatzSeries:
-    """Window of series coefficients for e^(g z^2/2 + b z) z^r sum p_j z^(s-j).
+    """Top depth+1 coefficients of Dz^s [e^(g z^2/2 + b z) z^r], the c_0 term.
 
-    terms[i] is the coefficient of z^(r + s - i) as {(g, b, r, (n,)): int}:
-    d/dz only multiplies by g, b or r + e, so every term is an integer times
-    exactly one c_n.  The window keeps depth+1 slots, so each derivative
-    raises s by one and drops the slot that falls below the window.
+    terms[i] is the coefficient of e^(g z^2/2 + b z) z^(r + s - i) as
+    {(g, b, r): int}: d/dz only multiplies by g, b or r + e, so the
+    coefficients are integers.  Each derivative raises s by one and drops
+    the slot that falls below the window.  The c_n term needs no series of
+    its own: it is this one with r replaced by r - n.
     """
 
     __slots__ = ("s", "terms", "depth")
@@ -312,7 +317,7 @@ class AnsatzSeries:
 
     @classmethod
     def initial(cls, depth: int) -> "AnsatzSeries":
-        return cls(0, [{(0, 0, 0, (n,)): 1} for n in range(depth + 1)], depth)
+        return cls(0, [{(0, 0, 0): 1}] + [{} for _ in range(depth)], depth)
 
     def coeff_at_offset(self, e: int) -> dict:
         i = self.s - e
@@ -325,14 +330,14 @@ class AnsatzSeries:
         new = [{} for _ in range(self.depth + 1)]
         for i, c in enumerate(self.terms):
             e = self.s - i
-            for (g, b, r, cm), p in c.items():
-                accumulate(new[i], (g + 1, b, r, cm), p)
+            for (g, b, r), p in c.items():
+                accumulate(new[i], (g + 1, b, r), p)
                 if i + 1 <= self.depth:
-                    accumulate(new[i + 1], (g, b + 1, r, cm), p)
+                    accumulate(new[i + 1], (g, b + 1, r), p)
                 if i + 2 <= self.depth:
-                    accumulate(new[i + 2], (g, b, r + 1, cm), p)
+                    accumulate(new[i + 2], (g, b, r + 1), p)
                     if e:
-                        accumulate(new[i + 2], (g, b, r, cm), p * e)
+                        accumulate(new[i + 2], (g, b, r), p * e)
         return AnsatzSeries(self.s + 1, new, self.depth)
 
 
@@ -349,12 +354,32 @@ class LevelEquation:
         return self.coeff.text()
 
 
+def _shift_r(part: dict, n: int) -> dict:
+    """part with r replaced by r - n: r^t -> sum_s C(t, s) (-n)^(t-s) r^s."""
+    out = {}
+    for (g, b, t), poly in part.items():
+        for s in range(t + 1):
+            slot = out.get((g, b, s))
+            if slot is None:
+                slot = out[g, b, s] = {}
+            w = math.comb(t, s) * (-n) ** (t - s)
+            for e, v in poly.items():
+                accumulate(slot, e, v * w)
+    return out
+
+
 def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEquation]:
     """Collect levels 0..depth: level l is the coefficient of z^(r + 2k - l).
 
     The c_0..c_depth stay symbolic; gamma is a free symbol here (the quotient
     relation is imposed by solve_levels, so level 0 shows the (g^k+1)^2
     factor explicitly).
+
+    Only the c_0 series is differentiated.  With L_m(g, b, r) the c_0 part
+    of level m, c_n z^(r - n) is the c_0 term at r - n, so the c_n part of
+    level l is L_(l-n)(g, b, r - n).  The L_m are integer polynomials over
+    the lcm D of the operator's coefficient denominators (D = 1 for
+    build_reduced_operator); Fractions are made only for the result.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
@@ -362,18 +387,33 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
         raise ValueError("depth must be at least 5 (levels 0..4 fix the exponents)")
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
+    for i, j in A.terms:
+        if i + j > 2 * k:
+            # its levels would read series slots below the window
+            raise ValueError(f"operator term z^{i}*Dz^{j} has i + j > 2k = {2 * k}")
+    den = math.lcm(*(c.denominator for p in A.terms.values() for c in p.terms.values()))
+    num = {ij: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+           for ij, p in A.terms.items()}
     max_j = max((j for _, j in A.terms), default=0)
     series = [AnsatzSeries.initial(depth)]
     for _ in range(max_j):
         series.append(series[-1].deriv())
-    levels = []
-    for l in range(depth + 1):
-        total = {}
-        for (i, j), p in A.terms.items():
-            for key, q in series[j].coeff_at_offset(2 * k - l - i).items():
-                accumulate(total, key, p.scale(q))
-        levels.append(LevelEquation(l, RingElem._wrap(total)))
-    return levels
+    levels = [{} for _ in range(depth + 1)]
+    for m in range(depth + 1):
+        # part = D * L_m as {(g, b, r): {param exponent: int}}
+        part = {}
+        for (i, j), p in num.items():
+            for key, q in series[j].coeff_at_offset(2 * k - m - i).items():
+                slot = part.setdefault(key, {})
+                for e, c in p.items():
+                    accumulate(slot, e, c * q)
+        for n in range(depth + 1 - m):
+            cn, out = (n,), levels[m + n]
+            for (g, b, r), poly in (_shift_r(part, n) if n else part).items():
+                if poly:
+                    out[g, b, r, cn] = ParamPoly._wrap(
+                        {e: Fraction(v, den) for e, v in poly.items()})
+    return [LevelEquation(l, RingElem._wrap(terms)) for l, terms in enumerate(levels)]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ class ChainMatrix:
         return out
 
 
+def _not_finite(what: str, k: int, n) -> ValueError:
+    return ValueError(f"{what} is not a finite double at k={k}, n={n}; "
+                      "use a smaller N or n_max")
+
+
 def _couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
     """g*sqrt(n!/(n-k)!) for each n, refused once it is not a finite double."""
     if params.g == 0:
@@ -88,8 +93,7 @@ def _couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
         w *= params.g
     bad = np.flatnonzero(~np.isfinite(w))
     if bad.size:
-        raise ValueError(f"coupling g*sqrt(n!/(n-k)!) is not a finite double at "
-                         f"k={params.k}, n={n[bad[0]]}; use a smaller N or n_max")
+        raise _not_finite("coupling g*sqrt(n!/(n-k)!)", params.k, n[bad[0]])
     return w
 
 
@@ -100,8 +104,12 @@ def _chain_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]
     if N <= k:
         raise ValueError(f"need N > k, got N={N}, k={k}")
     n = np.arange(N)
-    return (params.omega * n[:, None] + np.array([-params.delta, params.delta]),
-            _couplings(params, n[k:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = params.omega * n[:, None] + np.array([-params.delta, params.delta])
+    bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
+    if bad.size:
+        raise _not_finite("diagonal w*n -+ d", k, bad[0])
+    return diag, _couplings(params, n[k:])
 
 
 def build_hkp(params: ModelParams, N: int) -> ChainMatrix:
@@ -157,22 +165,25 @@ def jc_blocks(params: ModelParams, n_max: int) -> list[JCBlock]:
         raise ValueError("n_max must be >= 0")
     k = params.k
     w = _couplings(params, np.arange(k, n_max + k + 1))
-    return [
-        JCBlock(n,
-                params.omega * (n + k) - params.delta,
-                params.omega * n + params.delta,
-                float(w[n]))
-        for n in range(n_max + 1)
-    ]
+    n = np.arange(n_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        down = params.omega * (n + k) - params.delta
+        up = params.omega * n + params.delta
+    bad = np.flatnonzero(~(np.isfinite(down) & np.isfinite(up)))
+    if bad.size:
+        raise _not_finite("diagonal w*(n+k) - d, w*n + d", k, bad[0])
+    return [JCBlock(i, float(down[i]), float(up[i]), float(w[i])) for i in range(n_max + 1)]
 
 
 def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
     """Closed-form spectrum: block pairs for n <= n_max plus the k uncoupled
     spin-down levels w*n - d below the first block."""
-    vals = [params.omega * n - params.delta for n in range(params.k)]
-    for blk in jc_blocks(params, n_max):
-        vals.extend(blk.eigenvalues)
-    return sorted(vals)
+    levels = [(n, params.omega * n - params.delta) for n in range(params.k)]
+    levels += [(blk.n, e) for blk in jc_blocks(params, n_max) for e in blk.eigenvalues]
+    for n, e in levels:
+        if not math.isfinite(e):
+            raise _not_finite("closed-form eigenvalue", params.k, n)
+    return sorted(e for _, e in levels)
 
 
 # stebz's absolute tolerance.  LAPACK's default, eps*||T||, leaves E_min of

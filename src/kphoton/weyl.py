@@ -48,6 +48,13 @@ class ParamPoly:
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
+    def _wrap(cls, terms: dict[tuple[int, int, int], Fraction]) -> "ParamPoly":
+        # adopt a dict whose values are already nonzero Fractions
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def rational(cls, q) -> "ParamPoly":
         q = Fraction(q)
         return cls({(0, 0, 0): q} if q else {})

@@ -26,7 +26,7 @@ from kphoton.asymptotics import (
     solve_levels,
     substitute_ansatz,
 )
-from kphoton.weyl import ParamPoly, build_reduced_operator
+from kphoton.weyl import OperatorPoly, ParamPoly, build_reduced_operator
 
 W = ParamPoly.omega()
 E = ParamPoly.energy()
@@ -167,29 +167,29 @@ class TestAnsatzSeries:
     def test_derivative_rule_single_term(self):
         d = AnsatzSeries.initial(5).deriv()
         # c_0 at offset 0 -> g c_0 at +1, b c_0 at 0, r c_0 at -1
-        assert d.coeff_at_offset(1) == {(1, 0, 0, (0,)): 1}
-        assert d.coeff_at_offset(0)[(0, 1, 0, (0,))] == 1
-        assert d.coeff_at_offset(-1)[(0, 0, 1, (0,))] == 1
-        # offset -1 starts as c_1; the r-part of its derivative at -2 is (r-1)c_1
-        assert d.coeff_at_offset(-2)[(0, 0, 0, (1,))] == -1
+        assert d.coeff_at_offset(1) == {(1, 0, 0): 1}
+        assert d.coeff_at_offset(0) == {(0, 1, 0): 1}
+        assert d.coeff_at_offset(-1) == {(0, 0, 1): 1}
+        assert d.coeff_at_offset(-2) == {}
 
     def test_window_truncation(self):
         s = AnsatzSeries.initial(5)
         for _ in range(3):
             s = s.deriv()
         assert s.s == 3 and len(s.terms) == 6
-        assert s.coeff_at_offset(-3) == {}  # fell out of the window
+        assert s.coeff_at_offset(-2)           # the last slot in the window
+        assert s.coeff_at_offset(-3) == {}     # r(r-1)(r-2) fell out of the window
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_c0_terms_match_brute_force_oracle(self, m):
-        # at b = 0 the c_0 part of slot i is d^m e^(g z^2/2) z^r at z^(r+m-i)
+        # at b = 0 slot i is d^m e^(g z^2/2) z^r at z^(r+m-i)
         s = AnsatzSeries.initial(8)
         for _ in range(m):
             s = s.deriv()
         table = brute_force_exponent_oracle(m)
         for i, slot in enumerate(s.terms):
             assert all(type(v) is int for v in slot.values())
-            got = {(g, r): v for (g, b, r, c), v in slot.items() if b == 0 and c == (0,)}
+            got = {(g, r): v for (g, b, r), v in slot.items() if b == 0}
             want = {(g, r): v for (g, r, e), v in table.items() if e == m - i}
             assert got == want
 
@@ -201,6 +201,25 @@ class TestSubstituteAnsatz:
             substitute_ansatz(op, 3, 4)
         with pytest.raises(ValueError, match="exceeds the cap 32"):
             substitute_ansatz(op, 3, 33)
+
+    def test_term_past_window_rejected(self):
+        # z^i Dz^j with i + j > 2k would need series slots below the window
+        op = build_reduced_operator(3) + OperatorPoly.single(6, 1)
+        with pytest.raises(ValueError, match=r"z\^6\*Dz\^1 has i \+ j > 2k = 6"):
+            substitute_ansatz(op, 3, 8)
+        substitute_ansatz(OperatorPoly.single(5, 1), 3)    # i + j = 2k is fine
+
+    def test_rational_operator_coefficients(self):
+        # the levels are linear in the operator, whatever its common denominator
+        def coeffs(op):
+            return [lv.coeff for lv in substitute_ansatz(op, 3, 8)]
+
+        a = build_reduced_operator(3)
+        b = OperatorPoly({(1, 1): W.scale(Fraction(1, 2)),
+                          (0, 3): ParamPoly.rational(Fraction(-2, 3))})
+        assert coeffs(a + b) == [x + y for x, y in zip(coeffs(a), coeffs(b))]
+        third = ParamPoly.rational(Fraction(2, 3))
+        assert coeffs(a.scale(third)) == [x.scale(third) for x in coeffs(a)]
 
     def test_k5_level0_shows_double_root_factor(self):
         levels = levels_for(5)
@@ -229,6 +248,24 @@ class TestSubstituteAnsatz:
         levels = levels_for(k)
         lvl3 = levels[3].coeff.reduce(k).subs("b", RingElem.zero(k))
         assert lvl3.is_zero()
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_c_n_part_is_shifted_c0_part(self, k):
+        # c_n z^(r-n) is the c_0 term at r - n, so the c_n part of level l is
+        # the c_0 part of level l - n with r replaced by r - n
+        def c_part(lv, n):
+            return RingElem({(g, b, r, ()): p for (g, b, r, c), p in lv.coeff.terms.items()
+                             if c == (n,)})
+
+        levels = levels_for(k, 16)
+        r = RingElem({(0, 0, 1, ()): ParamPoly.rational(1)})
+        for l, lv in enumerate(levels):
+            for n in range(l + 1):
+                shifted = c_part(levels[l - n], 0).subs("r", r - RingElem.one().scale(n))
+                assert c_part(lv, n) == shifted, (l, n)
+        # z^(2k-1) Dz: level 3 is g*c3 + b*c2 + (r-1)*c1
+        lv3 = substitute_ansatz(OperatorPoly.single(2 * k - 1, 1), k)[3].coeff
+        assert lv3.text() == "-c1 + r*c1 + b*c2 + g1*c3"
 
     def test_levels_are_linear_in_c(self):
         # the one-pass substitution of the known c_n relies on both facts

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -218,6 +219,15 @@ class TestSweep:
         assert "k=400, n=400;" in err
         assert "infs or NaNs" not in err
 
+    def test_diagonal_overflow_is_a_usage_error(self, capsys):
+        # w*n + d is past the largest double from n = 1 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--k", "2", "--g", "0.1", "--omega",
+                                 "1e308", "--delta", "1e308", "--N", "10,20,30")
+        assert (code, out) == (2, "")
+        assert "diagonal w*n -+ d is not a finite double at k=2, n=1;" in err
+
 
 class TestJcExact:
     def test_csv(self, capsys):
@@ -246,6 +256,21 @@ class TestJcExact:
                              "--n-max", "3", "--format", fmt)
         assert (code, out) == (2, "")
         assert "k=400, n=400;" in err
+
+    @pytest.mark.parametrize("omega, delta, n_max, what", [
+        # w*(n+k) - d overflows at n = 0
+        ("1e308", "1e308", "3", "diagonal w*(n+k) - d, w*n + d is not a finite double at k=2, n=0;"),
+        # every entry is finite, but the block mean (w*(2n+k))/2 overflows at n = 1
+        ("5e307", "0", "1", "closed-form eigenvalue is not a finite double at k=2, n=1;"),
+    ], ids=["diagonal", "block-mean"])
+    def test_diagonal_overflow_is_a_usage_error(self, capsys, omega, delta, n_max, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "jc-exact", "--k", "2", "--g", "0.1", "--omega",
+                                 omega, "--delta", delta, "--n-max", n_max,
+                                 "--format", "json")
+        assert (code, out) == (2, "")
+        assert what in err
 
     def test_zero_coupling_at_large_k(self, capsys):
         code, out, _ = run(capsys, "jc-exact", "--k", "400", "--g", "0",
