@@ -3,7 +3,6 @@
 import importlib
 
 from .asymptotics import (
-    AnsatzSeries,
     DivisionByNonUnit,
     ExponentBranch,
     LevelEquation,
@@ -45,25 +44,19 @@ from .weyl import (
 
 __version__ = "0.1.0"
 
-# The fock names load numpy and scipy, so they are imported on first use:
-# the CLI sets OpenBLAS's thread count before that happens.
-_FOCK_NAMES = frozenset({
-    "ChainMatrix", "Classification", "JCBlock", "ModelParams", "SpectrumSweep",
-    "build_hkp", "build_jck", "classify_convergence", "convergence_sweep",
-    "displaced_oscillator_oracle", "jc_blocks", "jck_exact_spectrum",
-    "lowest_eigenvalues", "sweep_csv", "sweep_summary",
-})
-
 
 def __getattr__(name: str):
-    if name == "fock" or name in _FOCK_NAMES:
+    # Only names not bound above reach here: the fock names, which load numpy
+    # and scipy, so they are imported on first use (the CLI sets OpenBLAS's
+    # thread count before that happens).
+    if name == "fock" or name in __all__:
         fock = importlib.import_module(".fock", __name__)
         return fock if name == "fock" else getattr(fock, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
-    "AnsatzSeries", "ChainMatrix", "Classification", "CriticalLine",
+    "ChainMatrix", "Classification", "CriticalLine",
     "DivisionByNonUnit", "ExponentBranch", "JCBlock", "LevelEquation",
     "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
     "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",

@@ -296,49 +296,30 @@ class RingElem:
 # ---------------------------------------------------------------------------
 # ansatz series and level extraction
 
-class AnsatzSeries:
-    """Top depth+1 coefficients of Dz^s [e^(g z^2/2 + b z) z^r], the c_0 term.
+def _c0_derivatives(max_j: int, depth: int) -> list[list[dict]]:
+    """slots[j][i]: coefficient of e^(g z^2/2 + b z) z^(r + j - i) in
+    Dz^j [e^(g z^2/2 + b z) z^r], for 0 <= j <= max_j and 0 <= i <= depth.
 
-    terms[i] is the coefficient of e^(g z^2/2 + b z) z^(r + s - i) as
-    {(g, b, r): int}: d/dz only multiplies by g, b or r + e, so the
-    coefficients are integers.  Each derivative raises s by one and drops
-    the slot that falls below the window.  The c_n term needs no series of
-    its own: it is this one with r replaced by r - n.
+    Each slot is {(g, b, r): int}: d/dz only multiplies by g, b or r + e, so
+    the coefficients are integers.  Slots past depth are dropped.  The c_n
+    term needs no series of its own: it is this one with r replaced by r - n.
     """
-
-    __slots__ = ("s", "terms", "depth")
-
-    def __init__(self, s: int, terms: list[dict], depth: int):
-        if len(terms) != depth + 1:
-            raise ValueError("window must hold depth+1 coefficients")
-        self.s = s
-        self.terms = terms
-        self.depth = depth
-
-    @classmethod
-    def initial(cls, depth: int) -> "AnsatzSeries":
-        return cls(0, [{(0, 0, 0): 1}] + [{} for _ in range(depth)], depth)
-
-    def coeff_at_offset(self, e: int) -> dict:
-        i = self.s - e
-        if 0 <= i <= self.depth:
-            return self.terms[i]
-        return {}
-
-    def deriv(self) -> "AnsatzSeries":
+    slots = [[{(0, 0, 0): 1}] + [{} for _ in range(depth)]]
+    for j in range(max_j):
         # d/dz: c at offset e -> g*c at e+1, b*c at e, (r+e)*c at e-1
-        new = [{} for _ in range(self.depth + 1)]
-        for i, c in enumerate(self.terms):
-            e = self.s - i
+        new = [{} for _ in range(depth + 1)]
+        for i, c in enumerate(slots[-1]):
+            e = j - i
             for (g, b, r), p in c.items():
                 accumulate(new[i], (g + 1, b, r), p)
-                if i + 1 <= self.depth:
+                if i + 1 <= depth:
                     accumulate(new[i + 1], (g, b + 1, r), p)
-                if i + 2 <= self.depth:
+                if i + 2 <= depth:
                     accumulate(new[i + 2], (g, b, r + 1), p)
                     if e:
                         accumulate(new[i + 2], (g, b, r), p * e)
-        return AnsatzSeries(self.s + 1, new, self.depth)
+        slots.append(new)
+    return slots
 
 
 # cost guard: the deepest level substitute_ansatz collects
@@ -389,21 +370,22 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
         raise ValueError(f"depth {depth} exceeds the cap {_MAX_DEPTH}")
     for i, j in A.terms:
         if i + j > 2 * k:
-            # its levels would read series slots below the window
+            # its levels would read slots past depth
             raise ValueError(f"operator term z^{i}*Dz^{j} has i + j > 2k = {2 * k}")
     den = math.lcm(*(c.denominator for p in A.terms.values() for c in p.terms.values()))
     num = {ij: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
            for ij, p in A.terms.items()}
-    max_j = max((j for _, j in A.terms), default=0)
-    series = [AnsatzSeries.initial(depth)]
-    for _ in range(max_j):
-        series.append(series[-1].deriv())
+    slots = _c0_derivatives(max((j for _, j in A.terms), default=0), depth)
     levels = [{} for _ in range(depth + 1)]
     for m in range(depth + 1):
-        # part = D * L_m as {(g, b, r): {param exponent: int}}
+        # part = D * L_m as {(g, b, r): {param exponent: int}}; z^i Dz^j puts
+        # slot s at z^(r + i + j - s), so level m reads slot m - (2k - i - j)
         part = {}
         for (i, j), p in num.items():
-            for key, q in series[j].coeff_at_offset(2 * k - m - i).items():
+            s = m - (2 * k - i - j)
+            if s < 0:
+                continue
+            for key, q in slots[j][s].items():
                 slot = part.setdefault(key, {})
                 for e, c in p.items():
                     accumulate(slot, e, c * q)

@@ -220,21 +220,11 @@ def _cmd_gf(ns) -> str:
             f"oracle check: consistent\n")
 
 
-def _params(ns) -> fock.ModelParams:
-    try:
-        return fock.ModelParams(ns.k, ns.g, ns.omega, ns.delta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _cmd_sweep(ns) -> str:
-    params = _params(ns)
+    params = fock.ModelParams(ns.k, ns.g, ns.omega, ns.delta)
     if not (math.isfinite(ns.tol) and ns.tol > 0):
         raise CliError(f"tol must be positive and finite, got {ns.tol!r}")
-    try:
-        sweep = fock.convergence_sweep(params, ns.sizes, m=ns.m, tol=ns.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    sweep = fock.convergence_sweep(params, ns.sizes, m=ns.m, tol=ns.tol)
     if ns.format == "json":
         return _json_text(fock.sweep_summary(sweep))
     if ns.format == "text":
@@ -249,7 +239,7 @@ def _cmd_sweep(ns) -> str:
 
 
 def _cmd_jc_exact(ns) -> str:
-    params = _params(ns)
+    params = fock.ModelParams(ns.k, ns.g, ns.omega, ns.delta)
     if ns.n_max < 0:
         raise CliError("n-max must be >= 0")
     vals = fock.jck_exact_spectrum(params, ns.n_max)

@@ -238,6 +238,10 @@ class SpectrumSweep:
     collapse_factor: float
 
 
+# the spacing shrink that reads as a collapse; an artifact choice like tol
+_COLLAPSE_FACTOR = 10.0
+
+
 def convergence_sweep(params: ModelParams, N_list, m: int = 10,
                       tol: float = 1e-6) -> SpectrumSweep:
     """Lowest-m spectra across truncation sizes, merged by N, classified."""
@@ -253,22 +257,25 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
         if not all(math.isfinite(v) for v in row):
             raise RuntimeError("non-finite eigenvalue in sweep")
     sweep = SpectrumSweep(params, tuple(sizes), tuple(rows),
-                          Classification.Inconclusive, tol, 10.0)
-    return replace(sweep, classification=classify_convergence(sweep, tol))
+                          Classification.Inconclusive, tol, _COLLAPSE_FACTOR)
+    return replace(sweep, classification=classify_convergence(sweep))
 
 
-def classify_convergence(sweep: SpectrumSweep, tol: float = 1e-6,
-                         collapse_factor: float = 10.0) -> Classification:
+def classify_convergence(sweep: SpectrumSweep,
+                         tol: float | None = None) -> Classification:
     """Operational reading of the truncation behavior.
 
-    Collapse: mean spacing of the m lowest shrinks by >= collapse_factor
+    Collapse: mean spacing of the m lowest shrinks by >= sweep.collapse_factor
     while E_min itself stays put (drift bounded by max(1, |E_min|)); checked
     first because accumulation above a stable bottom would otherwise pass
     the gap test below.
-    Convergent: E_min gaps non-increasing and final gap below tol.
+    Convergent: E_min gaps non-increasing and final gap below tol, which
+    defaults to sweep.tol.
     Divergent: |E_min| grows monotonically and gaps never settled.
     Everything else: Inconclusive.  Thresholds are artifact choices.
     """
+    if tol is None:
+        tol = sweep.tol
     if len(sweep.N_list) < 3:
         raise ValueError("need at least 3 truncation sizes")
     if any(len(row) < 2 for row in sweep.eigenvalues):
@@ -276,7 +283,7 @@ def classify_convergence(sweep: SpectrumSweep, tol: float = 1e-6,
     e = [row[0] for row in sweep.eigenvalues]
     spread = [(row[-1] - row[0]) / (len(row) - 1) for row in sweep.eigenvalues]
     slow_drift = abs(e[-1] - e[0]) <= max(1.0, abs(e[0]))
-    if spread[0] > 0 and spread[-1] * collapse_factor <= spread[0] and slow_drift:
+    if spread[0] > 0 and spread[-1] * sweep.collapse_factor <= spread[0] and slow_drift:
         return Classification.Collapse
     floor = 1e-12 * max(1.0, abs(e[0]))      # LAPACK noise snap
     gaps = [abs(b - a) for a, b in zip(e, e[1:])]

@@ -2,9 +2,8 @@
 
 The asymptotics module delivers exponent branches over the quotient ring
 Q(w)[g]/(g^k+1); here they are pushed to the complex embedding g -> e^(i pi/k)
-and turned into exact yes/no statements.  Angle arithmetic runs in the larger
-cyclotomic ring Q[zeta]/(zeta^(2k)+1) with zeta = e^(i pi/(2k)), reduced by
-the 4k-th cyclotomic polynomial, so "Re(...) = 0" is decided symbolically.
+and turned into exact yes/no statements.  An angle is an integer multiple of
+pi/(2k), so "Re(beta e^(-i theta/2)) = 0" is one integer congruence.
 Square-root signs are certified by comparing squares, never by floating point.
 """
 
@@ -16,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .asymptotics import (
     ExponentBranch,
@@ -26,7 +25,7 @@ from .asymptotics import (
     solve_levels,
     substitute_ansatz,
 )
-from .weyl import ParamPoly, accumulate, build_reduced_operator
+from .weyl import ParamPoly, build_reduced_operator
 
 
 class Verdict(enum.Enum):
@@ -66,70 +65,24 @@ def critical_lines(k: int) -> list[CriticalLine]:
 # ---------------------------------------------------------------------------
 # exact angle arithmetic
 
-@cache
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d:
-            continue
-        div = _cyclotomic(d)
-        # exact division by a monic integer polynomial
-        out = [0] * (len(poly) - len(div) + 1)
-        rem = list(poly)
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + len(div) - 1]
-            out[i] = c
-            if c:
-                for j, dj in enumerate(div):
-                    rem[i + j] -= c * dj
-        if any(rem):
-            raise RuntimeError("cyclotomic division left a remainder")
-        poly = out
-    return tuple(poly)
-
-
-def _zeta_poly_is_zero(coeffs: dict[int, ParamPoly], k: int) -> bool:
-    """Whether sum coeffs[e] * zeta^e vanishes at zeta = e^(i pi/(2k)).
-
-    Exponents are folded with zeta^(2k) = -1, then the representative is
-    reduced modulo the 4k-th cyclotomic polynomial (the minimal polynomial
-    of zeta, irreducible also over the transcendental parameters).
-    """
-    n = 2 * k
-    folded: dict[int, ParamPoly] = {}
-    for e, p in coeffs.items():
-        e %= 4 * k
-        if e >= n:
-            accumulate(folded, e - n, -p)
-        else:
-            accumulate(folded, e, p)
-    phi = _cyclotomic(4 * k)
-    deg = len(phi) - 1
-    for i in range(n - 1, deg - 1, -1):
-        c = folded.pop(i, None)
-        if c is None:
-            continue
-        for j, pj in enumerate(phi[:-1]):
-            if pj:
-                accumulate(folded, i - deg + j, c.scale(-pj))
-    return not folded
-
-
 def beta_unit_modulus(branch: ExponentBranch, line: CriticalLine) -> bool:
-    """True iff Re(beta * e^(-i theta/2)) = 0 exactly (symbolic in w)."""
+    """True iff Re(beta * e^(-i theta/2)) = 0 exactly (symbolic in w).
+
+    The pipeline's beta is 0 or one term q*g^p, q a nonzero polynomial in the
+    real parameters.  With g = zeta^2 and e^(-i theta/2) = zeta^shift, where
+    zeta = e^(i pi/(2k)), the real part is q*cos(e pi/(2k)) for e = 2p + shift:
+    zero iff e = k (mod 2k).  A beta with several powers of g is refused.
+    """
     k = branch.k
-    shift = -int(line.theta_over_pi * k)      # e^(-i theta/2) = zeta^shift
+    shift = -int(line.theta_over_pi * k)
     if Fraction(shift) != -line.theta_over_pi * k:
         raise ValueError("line angle is not a multiple of pi/k")
-    coeffs: dict[int, ParamPoly] = {}
-    for (p, b, r, c), q in branch.beta.terms.items():
-        if b or r or c:
-            raise ValueError("beta is not resolved to a scalar ring element")
-        e = 2 * p + shift                      # g = zeta^2
-        accumulate(coeffs, e, q)
-        accumulate(coeffs, -e, q)              # plus conjugate
-    return _zeta_poly_is_zero(coeffs, k)
+    terms = branch.beta.terms
+    if any(b or r or c for _, b, r, c in terms):
+        raise ValueError("beta is not resolved to a scalar ring element")
+    if len(terms) > 1:
+        raise ValueError(f"beta {branch.beta.text()} has more than one power of g")
+    return all((2 * p + shift) % (2 * k) == k for p, _, _, _ in terms)
 
 
 # ---------------------------------------------------------------------------

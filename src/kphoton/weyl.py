@@ -257,9 +257,6 @@ class OperatorPoly:
     def d_degree(self) -> int:
         return max((j for _, j in self.terms), default=0)
 
-    def coeff(self, i: int, j: int) -> ParamPoly:
-        return self.terms.get((i, j), P_ZERO)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kphoton.asymptotics import (
-    AnsatzSeries,
     DivisionByNonUnit,
     ExponentBranch,
     OutOfScope,
     QuadraticRoot,
     RingElem,
     UnsolvableLevel,
+    _c0_derivatives,
     _solve_c,
     assemble_final_quadratic,
     brute_force_exponent_oracle,
@@ -165,29 +165,25 @@ class TestQuadraticRoot:
 
 class TestAnsatzSeries:
     def test_derivative_rule_single_term(self):
-        d = AnsatzSeries.initial(5).deriv()
+        d = _c0_derivatives(1, 5)[1]
         # c_0 at offset 0 -> g c_0 at +1, b c_0 at 0, r c_0 at -1
-        assert d.coeff_at_offset(1) == {(1, 0, 0): 1}
-        assert d.coeff_at_offset(0) == {(0, 1, 0): 1}
-        assert d.coeff_at_offset(-1) == {(0, 0, 1): 1}
-        assert d.coeff_at_offset(-2) == {}
+        assert d[0] == {(1, 0, 0): 1}
+        assert d[1] == {(0, 1, 0): 1}
+        assert d[2] == {(0, 0, 1): 1}
+        assert d[3] == {}
 
     def test_window_truncation(self):
-        s = AnsatzSeries.initial(5)
-        for _ in range(3):
-            s = s.deriv()
-        assert s.s == 3 and len(s.terms) == 6
-        assert s.coeff_at_offset(-2)           # the last slot in the window
-        assert s.coeff_at_offset(-3) == {}     # r(r-1)(r-2) fell out of the window
+        slots = _c0_derivatives(3, 5)
+        assert len(slots) == 4
+        assert slots[3][5]                     # offset -2, the last slot kept
+        assert len(slots[3]) == 6              # r(r-1)(r-2) at -3 is past depth
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_c0_terms_match_brute_force_oracle(self, m):
         # at b = 0 slot i is d^m e^(g z^2/2) z^r at z^(r+m-i)
-        s = AnsatzSeries.initial(8)
-        for _ in range(m):
-            s = s.deriv()
+        slots = _c0_derivatives(m, 8)[m]
         table = brute_force_exponent_oracle(m)
-        for i, slot in enumerate(s.terms):
+        for i, slot in enumerate(slots):
             assert all(type(v) is int for v in slot.values())
             got = {(g, r): v for (g, b, r), v in slot.items() if b == 0}
             want = {(g, r): v for (g, r, e), v in table.items() if e == m - i}

@@ -67,6 +67,13 @@ class TestOde:
     def test_rejects_k1(self, capsys):
         assert run(capsys, "ode", "--k", "1")[0] == 2
 
+    def test_k3_csv(self, capsys):
+        code, out, _ = run(capsys, "ode", "--k", "3", "--format", "csv")
+        assert code == 0
+        assert out == ('z,dz,coeff\n0,0,"-6 - d^2 + E^2"\n0,6,"-1"\n'
+                       '1,1,"-18 + w^2 - 2*w*E"\n2,0,"3*w"\n2,2,"-9 + w^2"\n'
+                       '3,3,"-2"\n6,0,"-1"\n')
+
 
 class TestExponents:
     def test_k5_table(self, capsys):
@@ -100,6 +107,14 @@ class TestExponents:
 
     def test_bad_depth(self, capsys):
         assert run(capsys, "exponents", "--k", "3", "--depth", "5")[0] == 2
+
+    def test_k3_csv(self, capsys):
+        code, out, _ = run(capsys, "exponents", "--k", "3", "--format", "csv")
+        assert code == 0
+        assert out == ('gamma_power,gamma,beta,rho\n'
+                       '1,"g1","1/3*w*g2","-2"\n1,"g1","-1/3*w*g2","-2"\n'
+                       '3,"-1","1/3*w","-2"\n3,"-1","-1/3*w","-2"\n'
+                       '5,"-g2","-1/3*w*g1","-2"\n5,"-g2","1/3*w*g1","-2"\n')
 
 
 class TestVerdict:
@@ -143,6 +158,21 @@ class TestVerdict:
         digest = hashlib.sha256(path.read_text().rstrip("\n").encode()).hexdigest()
         assert ref == f"sha256:{digest}"
 
+    @pytest.mark.parametrize("omega, rho, digest", [
+        # rho = -5/2 +- 1/4*sqrt(15): a real surd pair
+        ("1", "rho = -5/2 + 1/4*sqrt(15),",
+         "99781f9a05e083ccec1b606af9ab249928f43a61454eebca6b24c27d7c962f11"),
+        # rho = -5/2 +- i*1/4*sqrt(9): a complex pair
+        ("5", "rho = -5/2 - i*1/4*sqrt(9),",
+         "550f8e279c83d1d3ffddc07b3a0cf3ce8ff7ac045d4d30c1dc946fc72fab56a5"),
+    ], ids=["surd", "imaginary"])
+    def test_k4_text_rho_forms(self, capsys, omega, rho, digest):
+        code, out, _ = run(capsys, "verdict", "--k", "4", "--omega", omega,
+                           "--delta", "0")
+        assert code == 0
+        assert rho in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestGf:
     def test_k5_text(self, capsys):
@@ -160,6 +190,12 @@ class TestGf:
     def test_range(self, capsys):
         assert run(capsys, "gf", "--k", "4")[0] == 2
         assert run(capsys, "gf", "--k", "13")[0] == 2
+
+    def test_k5_csv(self, capsys):
+        code, out, _ = run(capsys, "gf", "--k", "5", "--format", "csv")
+        assert code == 0
+        assert out == ("name,value\nc0,210\nC2k_r2,45\nC2k_r,315\nCk_r2,10\n"
+                       "Ck_r,20\nquadratic_linear,7\nquadratic_constant,10\n")
 
 
 class TestSweep:
@@ -186,6 +222,15 @@ class TestSweep:
                            "--format", "json")
         assert code == 0
         jsonschema.validate(json.loads(out), _schema("sweep.json"))
+
+    def test_text(self, capsys):
+        # g = 0 leaves every chain diagonal, so E_min = -delta exactly
+        code, out, _ = run(capsys, "sweep", "--k", "1", "--g", "0", "--delta", "1",
+                           "--N", "20,40,60", "--m", "3", "--format", "text")
+        assert code == 0
+        assert out == ("k = 1, g = 0, omega = 1, delta = 1\n"
+                       "classification: Convergent\n"
+                       "N = 20: E_min = -1\nN = 40: E_min = -1\nN = 60: E_min = -1\n")
 
     def test_bad_size_lists(self, capsys):
         assert run(capsys, "sweep", "--k", "1", "--g", "1", "--N", "20,40")[0] == 2
@@ -248,6 +293,15 @@ class TestJcExact:
 
     def test_bad_nmax(self, capsys):
         assert run(capsys, "jc-exact", "--k", "2", "--g", "1", "--n-max", "-1")[0] == 2
+
+    def test_text(self, capsys):
+        code, out, _ = run(capsys, "jc-exact", "--k", "2", "--g", "0.25",
+                           "--delta", "1/2", "--n-max", "3", "--format", "text")
+        assert code == 0
+        assert out == ("E_0 = -0.5\nE_1 = 0.38762756430420542\nE_2 = 0.5\n"
+                       "E_3 = 1.209430584957905\nE_4 = 1.6123724356957947\nE_5 = 2\n"
+                       "E_6 = 2.7752551286084106\nE_7 = 2.790569415042095\nE_8 = 4\n"
+                       "E_9 = 5.2247448713915894\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_coupling_overflow_is_a_usage_error(self, capsys, fmt):
@@ -349,6 +403,15 @@ class TestPlumbing:
                              "--delta", "0")
         assert code == 3 and out == ""
         assert err.startswith("kphoton:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("sweep", "--k", "2", "--g", "-1"), "coupling g must be nonnegative"),
+        (("jc-exact", "--k", "0", "--g", "0.1"), "k must be a positive integer, got 0"),
+        (("sweep", "--k", "1", "--g", "1", "--N", "10,5,30"),
+         "truncation sizes must be strictly increasing"),
+    ], ids=["sweep-g", "jc-exact-k", "sweep-N"])
+    def test_domain_errors_exit_2_with_message(self, capsys, args, message):
+        assert run(capsys, *args) == (2, "", f"kphoton: {message}\n")
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "coeffs", "--k", "3", "--bogus")[0] == 2

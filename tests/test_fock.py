@@ -1,7 +1,9 @@
 """Truncated-matrix builds, exact oracles, convergence classification."""
 
+import dataclasses
 import json
 import math
+import subprocess
 import sys
 from importlib import resources
 
@@ -364,6 +366,21 @@ class TestClassify:
         with pytest.raises(ValueError, match="need m >= 2 for gap statistics"):
             classify_convergence(sweep)
 
+    def test_sweep_tol_is_the_default(self):
+        # final E_min gap 9e-4: settled under the sweep's tol = 1e-3 only
+        sweep = _synthetic([(-1.01, 0.0), (-1.001, 0.0), (-1.0001, 0.0)], tol=1e-3)
+        assert classify_convergence(sweep) is Classification.Convergent
+        assert classify_convergence(sweep, sweep.tol) is Classification.Convergent
+        assert classify_convergence(sweep, 1e-6) is Classification.Inconclusive
+
+    def test_sweep_collapse_factor_is_used(self):
+        # the mean spacing shrinks by 5: a collapse only under a factor <= 5
+        rows = [(-1.0, -1.0 + s, -1.0 + 2 * s) for s in (1.0, 0.5, 0.2)]
+        sweep = _synthetic(rows)
+        assert classify_convergence(sweep) is not Classification.Collapse
+        narrow = dataclasses.replace(sweep, collapse_factor=5.0)
+        assert classify_convergence(narrow) is Classification.Collapse
+
 
 class TestConvergenceSweep:
     def test_k1_converges(self):
@@ -409,3 +426,23 @@ class TestEmitters:
         assert obj["classification"] == "Convergent"
         assert obj["thresholds"]["artifact_choice"] is True
         assert len(obj["E_min_series"]) == 3
+
+
+class TestLazyImport:
+    def test_fock_names_load_on_first_use(self):
+        script = (
+            "import sys, kphoton\n"
+            "assert 'numpy' not in sys.modules and 'kphoton.fock' not in sys.modules\n"
+            "assert kphoton.ModelParams is kphoton.fock.ModelParams\n"
+            "assert 'numpy' in sys.modules\n"
+            "try:\n"
+            "    kphoton.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    raise SystemExit('unknown name resolved')\n"
+            "missing = [n for n in kphoton.__all__ if not hasattr(kphoton, n)]\n"
+            "assert not missing, missing\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

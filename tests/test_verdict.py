@@ -1,6 +1,8 @@
 """Critical lines, normalizability certificates and per-k verdicts."""
 
+import cmath
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -11,7 +13,6 @@ from kphoton.asymptotics import ExponentBranch, QuadraticRoot, RingElem
 from kphoton.verdict import (
     CriticalLine,
     Verdict,
-    _cyclotomic,
     _exponent_pipeline,
     _sign_x_plus_y_sqrt_d,
     beta_unit_modulus,
@@ -63,31 +64,6 @@ class TestCriticalLines:
                 critical_lines(bad)
 
 
-class TestCyclotomic:
-    def test_small_cases(self):
-        assert _cyclotomic(1) == (-1, 1)
-        assert _cyclotomic(2) == (1, 1)
-        assert _cyclotomic(3) == (1, 1, 1)
-        assert _cyclotomic(4) == (1, 0, 1)
-        assert _cyclotomic(12) == (1, 0, -1, 0, 1)
-
-    @pytest.mark.parametrize("n", [12, 16, 20, 28, 36, 48])
-    def test_product_over_divisors(self, n):
-        # prod over d | n of Phi_d recovers x^n - 1
-        prod = [1]
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            phi = _cyclotomic(d)
-            nxt = [0] * (len(prod) + len(phi) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(phi):
-                    nxt[i + j] += a * b
-            prod = nxt
-        expect = [-1] + [0] * (n - 1) + [1]
-        assert prod == expect
-
-
 class TestBetaUnitModulus:
     def test_k3_pipeline_branches_on_own_lines(self):
         _, branches = _exponent_pipeline(3)
@@ -122,10 +98,29 @@ class TestBetaUnitModulus:
         for b in branches:
             assert beta_unit_modulus(b, lines[b.gamma_index])
 
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_every_line_matches_complex_embedding(self, k):
+        # independent float oracle: Re(beta(w=1) e^(-i theta/2)), g = e^(i pi/k)
+        _, branches = _exponent_pipeline(k)
+        for b in branches:
+            beta = sum(float(q.evaluate(1, 0, 0)) * cmath.exp(1j * math.pi * p / k)
+                       for (p, _, _, _), q in b.beta.terms.items())
+            for ln in critical_lines(k):
+                re = (beta * cmath.exp(-0.5j * math.pi * ln.theta_over_pi)).real
+                assert beta_unit_modulus(b, ln) is (abs(re) < 1e-12)
+                assert abs(re) < 1e-12 or abs(re) > 1e-3
+
     def test_unresolved_beta_rejected(self):
         beta = RingElem({(0, 1, 0, ()): ParamPoly.rational(1)}, 3)   # unresolved b
         b = _branch(3, 0, beta, _rational_rho(-2))
         with pytest.raises(ValueError):
+            beta_unit_modulus(b, critical_lines(3)[0])
+
+    def test_two_gamma_powers_rejected(self):
+        # the pipeline's beta is always 0 or a single term q*g^p
+        beta = RingElem.one(3) + RingElem.gamma(1, 3)
+        b = _branch(3, 0, beta, _rational_rho(-2))
+        with pytest.raises(ValueError, match="more than one"):
             beta_unit_modulus(b, critical_lines(3)[0])
 
 
