@@ -6,6 +6,10 @@ identical invocations produce byte-identical bytes.  Exact subcommands
 rational strings like 7/2 and refuse decimal input; the numeric subcommands
 (sweep, jc-exact) accept decimals.  Exit codes: 0 success, 2 input
 validation, 3 solver failure (the message carries the residual/diagnostic).
+
+The exact subcommands never load numpy or scipy; sweep and jc-exact import
+kphoton.fock, and with it numpy and scipy, on first use, after the BLAS
+thread count below is set.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import asymptotics
@@ -24,11 +27,11 @@ from .verdict import _exponent_pipeline, verdict as run_verdict
 from .weyl import a_coeff, build_reduced_operator
 
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
-# sweep bisects tridiagonal chains.  Each OpenBLAS that numpy and scipy load
-# otherwise starts cpu_count - 1 workers that busy-wait after start-up and
-# take CPU from the main thread.
+# sweep bisects tridiagonal chains.  numpy and scipy load only on the numeric
+# paths (sweep, jc-exact), and this must be set before they do: each OpenBLAS
+# they load otherwise starts cpu_count - 1 workers that busy-wait after
+# start-up and take CPU from the main thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-from . import fock  # noqa: E402
 
 
 class CliError(argparse.ArgumentTypeError):
@@ -82,6 +85,8 @@ def _json_text(obj) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    import tempfile     # only --output/--trace need it
+
     target = os.path.abspath(path)
     # mkstemp creates the file 0600; give it the mode a new file from
     # open(path, "w") gets under the current umask
@@ -221,6 +226,7 @@ def _cmd_gf(ns) -> str:
 
 
 def _cmd_sweep(ns) -> str:
+    from . import fock
     params = fock.ModelParams(ns.k, ns.g, ns.omega, ns.delta)
     if not (math.isfinite(ns.tol) and ns.tol > 0):
         raise CliError(f"tol must be positive and finite, got {ns.tol!r}")
@@ -239,6 +245,7 @@ def _cmd_sweep(ns) -> str:
 
 
 def _cmd_jc_exact(ns) -> str:
+    from . import fock
     params = fock.ModelParams(ns.k, ns.g, ns.omega, ns.delta)
     if ns.n_max < 0:
         raise CliError("n-max must be >= 0")

@@ -13,7 +13,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from kphoton import asymptotics, cli
+from kphoton import asymptotics, cli, fock
 from kphoton.cli import main
 
 
@@ -433,7 +433,7 @@ class TestPlumbing:
     def test_solver_failure_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("banded eigensolver failed on dimension 40")
-        monkeypatch.setattr(cli.fock, "convergence_sweep", boom)
+        monkeypatch.setattr(fock, "convergence_sweep", boom)
         code, _, err = run(capsys, "sweep", "--k", "1", "--g", "1",
                            "--N", "20,40,60")
         assert code == 3 and "eigensolver" in err
@@ -441,7 +441,7 @@ class TestPlumbing:
     def test_memory_error_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB")
-        monkeypatch.setattr(cli.fock, "jck_exact_spectrum", boom)
+        monkeypatch.setattr(fock, "jck_exact_spectrum", boom)
         code, out, err = run(capsys, "jc-exact", "--k", "2", "--g", "0.3",
                              "--n-max", "100000000000")
         assert (code, out) == (3, "")
@@ -459,10 +459,49 @@ class TestPlumbing:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
+        # numpy loads only when jc-exact first needs it, after the setting
         script = ("import sys, kphoton; assert 'numpy' not in sys.modules; "
-                  "import os, kphoton.cli; assert 'numpy' in sys.modules; "
+                  "import os, kphoton.cli; assert 'numpy' not in sys.modules; "
+                  "from kphoton.cli import main; "
+                  "assert main(['jc-exact', '--k', '1', '--g', '0.1', '--n-max', '2']) == 0; "
+                  "assert 'numpy' in sys.modules; "
                   "print(os.environ['OPENBLAS_NUM_THREADS'])")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == want + "\n"
+        assert proc.stdout.splitlines()[-1] == want
+
+    # Each run is a fresh interpreter: main() is called in-process there so
+    # sys.modules shows exactly what the subcommand imported.
+    _REPORT_LOADS = ("import sys; from kphoton.cli import main; "
+                     "code = main(sys.argv[1:]); "
+                     "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, "
+                     "file=sys.stderr)")
+
+    @pytest.mark.parametrize("args, code", [
+        (("coeffs", "--k", "5"), 0),
+        (("ode", "--k", "5"), 0),
+        (("exponents", "--k", "5"), 0),
+        (("gf", "--k", "5"), 0),
+        (("verdict", "--k", "4", "--omega", "1", "--delta", "0", "--trace", "TRACE"), 0),
+        (("--help",), 0),
+        (("exponents", "--k", "2"), 2),
+    ], ids=["coeffs", "ode", "exponents", "gf", "verdict-trace", "help", "exit-2"])
+    def test_exact_paths_never_load_numpy(self, tmp_path, args, code):
+        trace = tmp_path / "trace.json"
+        args = [str(trace) if a == "TRACE" else a for a in args]
+        proc = subprocess.run([sys.executable, "-c", self._REPORT_LOADS, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"{code} False False"
+        assert trace.exists() == (str(trace) in args)
+
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"),
+        ("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"),
+    ], ids=["sweep", "jc-exact"])
+    def test_numeric_paths_load_numpy(self, args):
+        proc = subprocess.run([sys.executable, "-c", self._REPORT_LOADS, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 True True"
