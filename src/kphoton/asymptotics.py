@@ -9,8 +9,9 @@ Only the c_0 series e^(g z^2/2 + b z) z^r is differentiated, and
 differentiating it only multiplies by g, b and r + e, so it holds integers.
 The c_n term is the c_0 term at r - n, so the c_n part of level l is the c_0
 part of level l - n with r shifted to r - n (the Frobenius structure of the
-recurrence).  w, d, E enter when substitute_ansatz applies the operator, over
-one common denominator; Fractions are made only for the finished levels.
+recurrence).  w, d, E enter when substitute_ansatz applies the operator; every
+coefficient in (w, d, E) is a ParamPoly, integer numerators over one common
+denominator, so the levels and the tail are built in integer arithmetic.
 
 Symbol conventions in rendered output: g is the Gaussian exponent generator
 (g^k = -1), b the linear exponent, r the power-law exponent, c0..cL the tail
@@ -360,7 +361,8 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
     of level m, c_n z^(r - n) is the c_0 term at r - n, so the c_n part of
     level l is L_(l-n)(g, b, r - n).  The L_m are integer polynomials over
     the lcm D of the operator's coefficient denominators (D = 1 for
-    build_reduced_operator); Fractions are made only for the result.
+    build_reduced_operator); each level coefficient goes to ParamPoly as
+    those integers over D, with no Fraction built per term.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
@@ -372,9 +374,8 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
         if i + j > 2 * k:
             # its levels would read slots past depth
             raise ValueError(f"operator term z^{i}*Dz^{j} has i + j > 2k = {2 * k}")
-    den = math.lcm(*(c.denominator for p in A.terms.values() for c in p.terms.values()))
-    num = {ij: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-           for ij, p in A.terms.items()}
+    den = math.lcm(*(p.den for p in A.terms.values()))
+    num = {ij: {e: c * (den // p.den) for e, c in p.num.items()} for ij, p in A.terms.items()}
     slots = _c0_derivatives(max((j for _, j in A.terms), default=0), depth)
     levels = [{} for _ in range(depth + 1)]
     for m in range(depth + 1):
@@ -393,23 +394,12 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
             cn, out = (n,), levels[m + n]
             for (g, b, r), poly in (_shift_r(part, n) if n else part).items():
                 if poly:
-                    out[g, b, r, cn] = ParamPoly._wrap(
-                        {e: Fraction(v, den) for e, v in poly.items()})
+                    out[g, b, r, cn] = ParamPoly.over(poly, den)
     return [LevelEquation(l, RingElem._wrap(terms)) for l, terms in enumerate(levels)]
 
 
 # ---------------------------------------------------------------------------
 # quadratic roots
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
 
 def _param_sqrt(p: ParamPoly) -> ParamPoly | None:
     """Square root of a single-term ParamPoly, if exact."""
@@ -417,13 +407,14 @@ def _param_sqrt(p: ParamPoly) -> ParamPoly | None:
         return ParamPoly()
     if not p.is_single_term():
         return None
-    (e, c), = p.terms.items()
-    if any(x % 2 for x in e):
+    (e, c), = p.num.items()
+    if c < 0 or any(x % 2 for x in e):
         return None
-    r = _fraction_sqrt(c)
-    if r is None:
+    # c and den are coprime, so c/den is a square iff both are
+    rn, rd = math.isqrt(c), math.isqrt(p.den)
+    if rn * rn != c or rd * rd != p.den:
         return None
-    return ParamPoly.monomial(e[0] // 2, e[1] // 2, e[2] // 2, r)
+    return ParamPoly.over({(e[0] // 2, e[1] // 2, e[2] // 2): rn}, rd)
 
 
 def ring_sqrt(x: RingElem) -> RingElem | None:
@@ -498,15 +489,10 @@ class QuadraticRoot:
         disc0 = b * b - c.scale(4)
         if disc0.is_zero():
             return [cls(rational, P_ZERO, P_ZERO, b, c)]
-        den = 1
-        for coeff in disc0.terms.values():
-            den = den * coeff.denominator // math.gcd(den, coeff.denominator)
-        disc = disc0.scale(den * den)
-        content = 0
-        for coeff in disc.terms.values():
-            content = math.gcd(content, int(coeff))
-        s = _square_content(content)
-        disc = disc.scale(Fraction(1, s * s))
+        # den^2 * disc0 has integer coefficients with content den * gcd(num)
+        den = disc0.den
+        s = _square_content(den * math.gcd(*disc0.num.values()))
+        disc = disc0.scale(Fraction(den * den, s * s))
         surd = Fraction(s, 2 * den)
         if disc == P_ONE:
             # perfect square: two rational roots

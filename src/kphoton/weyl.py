@@ -10,6 +10,7 @@ of operators is structural equality of their term dictionaries.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -29,39 +30,44 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = value
 
 
-def _fmt_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 class ParamPoly:
     """Laurent polynomial in (w, d, E) with exact rational coefficients.
 
-    Terms map exponent triples to nonzero Fractions.  Negative exponents are
-    permitted (they arise when tail coefficients of asymptotic series are
-    solved for); every constructor and operation strips zero coefficients, so
-    ``==`` is structural.
+    Stored as integer numerators over one common denominator: num maps
+    exponent triples to nonzero ints and den > 0, in canonical form
+    gcd(den, *num.values()) == 1, so ``==`` and ``hash`` are structural.
+    Arithmetic runs on the integers and normalises each result with one
+    content gcd (fraction-free in the sense of Bareiss, Math. Comp. 22,
+    1968).  Negative exponents are permitted (they arise when tail
+    coefficients of asymptotic series are solved for).  Coefficients enter
+    and leave as int or Fraction; ``terms`` is the {exponent: Fraction} view.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: dict[tuple[int, int, int], Fraction] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[tuple[int, int, int], Fraction | int] | None = None):
+        terms = terms or {}
+        for c in terms.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"ParamPoly coefficient {c!r} is not an int or Fraction")
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        self.num, self.den = _canonical(
+            {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den)
 
     @classmethod
-    def _wrap(cls, terms: dict[tuple[int, int, int], Fraction]) -> "ParamPoly":
-        # adopt a dict whose values are already nonzero Fractions
+    def over(cls, num: dict[tuple[int, int, int], int], den: int) -> "ParamPoly":
+        """num / den for int values and den > 0; num is adopted if canonical."""
         p = cls.__new__(cls)
-        p.terms = terms
+        p.num, p.den = _canonical(num, den)
         return p
 
     @classmethod
     def rational(cls, q) -> "ParamPoly":
-        q = Fraction(q)
-        return cls({(0, 0, 0): q} if q else {})
+        return cls({(0, 0, 0): q})
 
     @classmethod
     def monomial(cls, ew: int = 0, ed: int = 0, ee: int = 0, coeff=1) -> "ParamPoly":
-        return cls({(ew, ed, ee): Fraction(coeff)})
+        return cls({(ew, ed, ee): coeff})
 
     @classmethod
     def omega(cls) -> "ParamPoly":
@@ -75,36 +81,44 @@ class ParamPoly:
     def energy(cls) -> "ParamPoly":
         return cls.monomial(ee=1)
 
+    @property
+    def terms(self) -> dict[tuple[int, int, int], Fraction]:
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ParamPoly) and self.terms == other.terms
+        return (isinstance(other, ParamPoly) and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({e: -c for e, c in self.terms.items()})
+        return ParamPoly.over({e: -c for e, c in self.num.items()}, self.den)
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(out, e, c)
-        return ParamPoly(out)
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        out = {e: c * sa for e, c in self.num.items()}
+        for e, c in other.num.items():
+            out[e] = out.get(e, 0) + c * sb
+        return ParamPoly.over(out, self.den * sa)
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]), c1 * c2)
-        return ParamPoly(out)
+        out: dict[tuple[int, int, int], int] = {}
+        for (a, b, c), x in self.num.items():
+            for (a2, b2, c2), y in other.num.items():
+                e = (a + a2, b + b2, c + c2)
+                out[e] = out.get(e, 0) + x * y
+        return ParamPoly.over(out, self.den * other.den)
 
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:
@@ -115,76 +129,60 @@ class ParamPoly:
         return out
 
     def scale(self, q) -> "ParamPoly":
-        q = Fraction(q)
-        if not q:
-            return ParamPoly()
-        return ParamPoly({e: c * q for e, c in self.terms.items()})
+        return self * ParamPoly.rational(q)
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self.terms)
+        return all(e == (0, 0, 0) for e in self.num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (0 for the empty one)."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self.text()}")
-        return self.terms.get((0, 0, 0), Fraction(0))
+        return Fraction(self.num.get((0, 0, 0), 0), self.den)
 
     def is_single_term(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.num) == 1
 
     def uses(self, name: str) -> bool:
         """Whether the given parameter symbol occurs with nonzero exponent."""
         i = PARAM_NAMES.index(name)
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self.num)
 
     def exact_div_term(self, divisor: "ParamPoly") -> "ParamPoly":
         """Divide by a single-term polynomial (always exact, Laurent)."""
-        if len(divisor.terms) != 1:
+        if len(divisor.num) != 1:
             raise ValueError("divisor must be a single term")
-        (de, dc), = divisor.terms.items()
-        return ParamPoly({
-            (e[0] - de[0], e[1] - de[1], e[2] - de[2]): c / dc
-            for e, c in self.terms.items()
-        })
-
-    def subs_omega(self, value) -> "ParamPoly":
-        """Substitute an exact rational for w, keeping d and E symbolic."""
-        value = Fraction(value)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (ew, ed, ee), c in self.terms.items():
-            if ew < 0 and value == 0:
-                raise ZeroDivisionError("w = 0 substituted into a 1/w term")
-            accumulate(out, (0, ed, ee), c * value ** ew)
-        return ParamPoly(out)
+        ((x, y, z), dn), = divisor.num.items()
+        # (v / den) / (dn / divisor.den) = v * divisor.den / (den * dn); dn's sign moves up
+        s = divisor.den if dn > 0 else -divisor.den
+        return ParamPoly.over({(a - x, b - y, c - z): v * s
+                               for (a, b, c), v in self.num.items()}, self.den * abs(dn))
 
     def evaluate(self, w, d, E) -> Fraction:
         """Evaluate at exact rational parameter values."""
         w, d, E = Fraction(w), Fraction(d), Fraction(E)
         total = Fraction(0)
-        for (ew, ed, ee), c in self.terms.items():
+        for (ew, ed, ee), c in self.num.items():
             total += c * w ** ew * d ** ed * E ** ee
-        return total
-
-    def sorted_terms(self):
-        # ascending total degree, ties broken w before d before E
-        return sorted(self.terms.items(),
-                      key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
+        return total / self.den
 
     def text(self) -> str:
         """Canonical rendering: graded order, lowest total degree first."""
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.num.items(), key=lambda t: (sum(t[0]), tuple(-x for x in t[0]))):
             factors = [f"{n}^{x}" if x != 1 else n
                        for n, x in zip(PARAM_NAMES, e) if x]
-            mag = abs(c)
+            g = math.gcd(c, self.den)
+            mag, den = abs(c) // g, self.den // g
+            mag_text = str(mag) if den == 1 else f"{mag}/{den}"
             if not factors:
-                body = _fmt_rational(mag)
-            elif mag == 1:
+                body = mag_text
+            elif mag == 1 and den == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_fmt_rational(mag)] + factors)
+                body = "*".join([mag_text] + factors)
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body
@@ -194,6 +192,19 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self.text()})"
+
+
+def _canonical(num: dict, den: int) -> tuple[dict, int]:
+    # drop zero values and divide out the content gcd(den, *num); den > 0.
+    # num is adopted when it needs neither step.
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return num, den
 
 
 P_ZERO = ParamPoly()

@@ -60,11 +60,6 @@ class TestParamPoly:
         q2 = p.exact_div_term(ParamPoly.monomial(ew=3, coeff=2))
         assert q2 == ParamPoly({(-1, 1, 0): Fraction(1, 2), (-2, 0, 1): Fraction(-1)})
 
-    def test_subs_omega(self):
-        p = W * W * E - D + ParamPoly.monomial(ew=-1)
-        got = p.subs_omega(Fraction(1, 2))
-        assert got == E.scale(Fraction(1, 4)) - D + rat(2)
-
     def test_evaluate(self):
         p = W * E - D * D + ParamPoly.monomial(ew=-1, coeff=3)
         assert p.evaluate(2, 3, 5) == 2 * 5 - 9 + Fraction(3, 2)
@@ -77,6 +72,98 @@ class TestParamPoly:
 
     def test_uses(self):
         assert (W * E).uses("E") and not (W * E).uses("d")
+
+    @pytest.mark.parametrize("build", [
+        lambda: ParamPoly({(0, 0, 0): 0.5}),
+        lambda: ParamPoly.rational(0.1),
+        lambda: ParamPoly.monomial(ew=1, coeff=0.1),
+        lambda: W.scale(0.1),
+        lambda: ParamPoly.rational("1/2"),
+    ], ids=["init", "rational", "monomial", "scale", "rational-str"])
+    def test_rejects_non_rational_coefficients(self, build):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            build()
+
+    def test_canonical_storage(self):
+        p = ParamPoly({(1, 0, 0): Fraction(2, 6), (0, 0, 1): Fraction(-4, 3)})
+        assert (p.num, p.den) == ({(1, 0, 0): 1, (0, 0, 1): -4}, 3)
+        assert ParamPoly.over({(1, 0, 0): 6, (0, 0, 0): 0, (0, 1, 0): -9}, 12) \
+            == ParamPoly({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-3, 4)})
+        zero = W.scale(Fraction(1, 3)) - W.scale(Fraction(1, 3))
+        assert (zero.num, zero.den) == ({}, 1) and zero == ParamPoly()
+
+
+# {exponent: Fraction} dicts, Laurent exponents included, as the reference
+_EXP = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+_QUOT = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_DICT = st.dictionaries(_EXP, _QUOT, max_size=5)
+
+
+def _ref(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref(out)
+
+
+def _is_canonical(p):
+    return (p.den > 0 and math.gcd(p.den, *p.num.values()) == 1
+            and all(type(c) is int and c for c in p.num.values()))
+
+
+class TestParamPolyAgainstFractionDicts:
+    @settings(max_examples=150, deadline=None)
+    @given(a=_DICT, b=_DICT, q=_QUOT, div_e=_EXP,
+           div_c=_QUOT.filter(bool))
+    def test_ops_match_reference(self, a, b, q, div_e, div_c):
+        pa, pb = ParamPoly(a), ParamPoly(b)
+        divisor = ParamPoly({div_e: div_c})
+        results = {
+            "add": (pa + pb, _ref_add(a, b)),
+            "sub": (pa - pb, _ref_add(a, {e: -c for e, c in b.items()})),
+            "neg": (-pa, _ref({e: -c for e, c in a.items()})),
+            "mul": (pa * pb, _ref_mul(a, b)),
+            "scale": (pa.scale(q), _ref({e: c * q for e, c in a.items()})),
+            "div": (pa.exact_div_term(divisor),
+                    {tuple(x - y for x, y in zip(e, div_e)): c / div_c
+                     for e, c in _ref(a).items()}),
+        }
+        for name, (got, want) in results.items():
+            assert got.terms == want, name
+            assert _is_canonical(got), name
+            assert got == ParamPoly(want) and hash(got) == hash(ParamPoly(want)), name
+        assert pa.is_zero() == (not _ref(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_DICT, b=_DICT, q=_QUOT.filter(bool), div_c=_QUOT.filter(bool))
+    def test_equal_values_by_different_routes(self, a, b, q, div_c):
+        pa, pb = ParamPoly(a), ParamPoly(b)
+        divisor = ParamPoly.monomial(1, -1, 0, div_c)
+        pairs = [
+            ((pa + pb) - pb, pa),
+            (pa * pb, pb * pa),
+            (pa.scale(q).scale(1 / q), pa),
+            ((pa * pb).exact_div_term(divisor), pa * pb.exact_div_term(divisor)),
+            (pa.scale(2), pa + pa),
+            (ParamPoly.over({e: c * q.denominator for e, c in pa.num.items()},
+                            pa.den * q.denominator), pa),
+        ]
+        for left, right in pairs:
+            assert left == right and hash(left) == hash(right)
+            assert (left.num, left.den) == (right.num, right.den)
 
 
 class TestNormalOrder:
