@@ -12,7 +12,6 @@ from .asymptotics import (
     UnsolvableLevel,
     assemble_final_quadratic,
     brute_force_exponent_oracle,
-    c0_closed,
     c_recursion,
     crho_closed,
     gf_coefficient,
@@ -34,12 +33,8 @@ from .verdict import (
 from .weyl import (
     OperatorPoly,
     ParamPoly,
-    a1_closed,
-    a2_closed,
     a_coeff,
-    apply_to_polynomial,
     build_reduced_operator,
-    op_mul,
 )
 
 __version__ = "0.1.0"
@@ -60,13 +55,12 @@ __all__ = [
     "DivisionByNonUnit", "ExponentBranch", "JCBlock", "LevelEquation",
     "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
     "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
-    "UnsolvableLevel", "Verdict", "VerdictReport", "a1_closed", "a2_closed",
-    "a_coeff", "apply_to_polynomial", "assemble_final_quadratic",
-    "beta_unit_modulus", "brute_force_exponent_oracle", "build_hkp",
-    "build_jck", "build_reduced_operator", "c0_closed", "c_recursion",
-    "classify_convergence", "convergence_sweep", "critical_lines",
-    "crho_closed", "displaced_oscillator_oracle", "gf_coefficient",
+    "UnsolvableLevel", "Verdict", "VerdictReport", "a_coeff",
+    "assemble_final_quadratic", "beta_unit_modulus",
+    "brute_force_exponent_oracle", "build_hkp", "build_jck",
+    "build_reduced_operator", "c_recursion", "classify_convergence",
+    "convergence_sweep", "critical_lines", "crho_closed", "gf_coefficient",
     "jc_blocks", "jck_exact_spectrum", "lowest_eigenvalues", "normalizability",
-    "op_mul", "rho_quadratic_general", "solve_levels", "substitute_ansatz",
+    "rho_quadratic_general", "solve_levels", "substitute_ansatz",
     "sweep_csv", "sweep_summary", "symmetry_divergence", "verdict",
 ]

@@ -169,19 +169,12 @@ class RingElem:
         return RingElem(out, self.modulus)
 
     def scale(self, q) -> "RingElem":
-        if isinstance(q, ParamPoly):
-            if q.is_zero():
-                return RingElem.zero(self.modulus)
-            out = {}
-            for k, p in self.terms.items():
-                s = p * q
-                if s:
-                    out[k] = s
-            return RingElem(out, self.modulus)
-        q = Fraction(q)
+        """Multiply every term by q: a ParamPoly, int or Fraction."""
+        if not isinstance(q, ParamPoly):
+            q = ParamPoly.rational(q)
         if not q:
             return RingElem.zero(self.modulus)
-        return RingElem._wrap({k: p.scale(q) for k, p in self.terms.items()}, self.modulus)
+        return RingElem._wrap({k: p * q for k, p in self.terms.items()}, self.modulus)
 
     def reduce(self, k: int) -> "RingElem":
         """Impose g^k = -1 (enter the quotient ring)."""
@@ -782,13 +775,6 @@ def rho_quadratic_general(k: int) -> tuple[Fraction, Fraction]:
     return Fraction(2 * k - 3), Fraction(3 * k * k, 4) - 2 * k + Fraction(5, 4)
 
 
-def c0_closed(m: int) -> Fraction:
-    """m(m^3 - 6m^2 + 11m - 6)/8."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return Fraction(m * (m ** 3 - 6 * m * m + 11 * m - 6), 8)
-
-
 @lru_cache(maxsize=None)
 def _eta(l: int) -> Fraction:
     # series coefficients of 1/sqrt(1-x)
@@ -831,39 +817,26 @@ def crho_closed(k: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
             Fraction(k * (k * k + 3), 2) - 2 * k * k)
 
 
-def brute_force_exponent_oracle(m: int, depth: int | None = None) -> dict:
+def brute_force_exponent_oracle(m: int) -> dict:
     """Coefficient table of d^m e^(g z^2/2) z^r by m-fold differentiation.
 
-    Returns {(a, b, c): Fraction} for the g^a r^b z^(r+c) terms; z-offsets
-    below -depth are dropped (default keeps everything).
+    Returns {(a, b, c): Fraction} for the g^a r^b z^(r+c) terms.
     """
     if m > 24:
         raise ValueError("cost guard: m must be <= 24")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if depth is None:
-        depth = m
     # state: offset e -> {(a, b): Fraction}
     state = {0: {(0, 0): Fraction(1)}}
     for _ in range(m):
         nxt: dict[int, dict] = {}
-
-        def bump(e, key, v):
-            if e < -depth:
-                return
-            d = nxt.setdefault(e, {})
-            s = d.get(key, 0) + v
-            if s:
-                d[key] = s
-            else:
-                d.pop(key, None)
-
         for e, poly in state.items():
+            up, down = nxt.setdefault(e + 1, {}), nxt.setdefault(e - 1, {})
             for (a, b), v in poly.items():
-                bump(e + 1, (a + 1, b), v)        # g z branch
-                bump(e - 1, (a, b + 1), v)        # r part of (r + e)
+                accumulate(up, (a + 1, b), v)         # g z branch
+                accumulate(down, (a, b + 1), v)       # r part of (r + e)
                 if e:
-                    bump(e - 1, (a, b), v * e)    # offset part of (r + e)
+                    accumulate(down, (a, b), v * e)   # offset part of (r + e)
         state = nxt
     table = {}
     for e, poly in state.items():

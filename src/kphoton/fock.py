@@ -64,10 +64,6 @@ class ChainMatrix:
         if len(cover) != dim or np.any(cover != 1):
             raise ValueError(f"chains must partition range({dim})")
 
-    def entry(self, i: int, j: int) -> float:
-        """One entry, read through to_dense(); meant for small matrices."""
-        return float(self.to_dense()[i, j])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
         for idx, diag, off in self.chains:
@@ -206,16 +202,6 @@ def lowest_eigenvalues(M: ChainMatrix, m: int) -> list[float]:
             raise RuntimeError(f"tridiagonal eigensolver failed on a chain of "
                                f"length {len(diag)}: {exc}") from exc
     return [float(v) for v in np.sort(np.concatenate(parts))[:m]]
-
-
-def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:
-    """Exact k=1, delta=0 levels: E_n = w*n - g^2/w, each doubly degenerate."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    shift = g * g / omega
-    return [omega * (i // 2) - shift for i in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+"""Reference routes that only the tests call.
+
+Each is an independent implementation of something the package computes
+another way, kept here so that the package ships only what its commands run:
+
+- op_mul (with its _dz_z table): the normal-ordered product by commutator
+  rewriting, the check on weyl.build_reduced_operator and on the closed-form
+  cross-term weights weyl.a_coeff.
+- apply_to_polynomial: operators acting on polynomials in z, the check on
+  op_mul itself (product against composition).
+- c0_closed: the closed form of the c_0 coefficient, the check on
+  asymptotics.gf_coefficient.
+- displaced_oscillator_oracle: the exact k = 1, delta = 0 spectrum, the check
+  on fock.build_hkp and fock.lowest_eigenvalues.
+
+Tests import them as ``from oracles import ...``: pytest puts this directory
+on sys.path because it holds test modules and no __init__.py.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
+
+from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
+
+
+@cache
+def _dz_z(j: int, i: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Normal ordering of Dz^j z^i as ((z-power, Dz-power), int) pairs.
+
+    Single-commutator rewriting Dz z^i = z^i Dz + i z^(i-1), peeled one Dz at
+    a time and memoized.
+    """
+    if j == 0:
+        return (((i, 0), 1),)
+    if i == 0:
+        return (((0, j), 1),)
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), c in _dz_z(j - 1, i):
+        out[(a, b + 1)] = out.get((a, b + 1), 0) + c
+    for (a, b), c in _dz_z(j - 1, i - 1):
+        out[(a, b)] = out.get((a, b), 0) + i * c
+    return tuple(out.items())
+
+
+def op_mul(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
+    """Product a*b, normal ordered exactly."""
+    out: dict[tuple[int, int], ParamPoly] = {}
+    for (i1, j1), p1 in a.terms.items():
+        for (i2, j2), p2 in b.terms.items():
+            p = p1 * p2
+            for (i, j), c in _dz_z(j1, i2):
+                accumulate(out, (i1 + i, j + j2), p.scale(c))
+    return OperatorPoly(out)
+
+
+def apply_to_polynomial(a: OperatorPoly, poly: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
+    """Apply an operator to a polynomial in z (exponent -> ParamPoly).
+
+    Independent of op_mul: z^i Dz^j z^n = n(n-1)...(n-j+1) z^(n-j+i).
+    """
+    out: dict[int, ParamPoly] = {}
+    for (i, j), p in a.terms.items():
+        for n, c in poly.items():
+            if n < 0:
+                raise ValueError("polynomial exponents must be nonnegative")
+            if j > n:
+                continue
+            fall = 1
+            for s in range(j):
+                fall *= n - s
+            term = (p * c).scale(fall)
+            key = n - j + i
+            tot = out.get(key, P_ZERO) + term
+            if tot:
+                out[key] = tot
+            else:
+                out.pop(key, None)
+    return out
+
+
+def c0_closed(m: int) -> Fraction:
+    """m(m^3 - 6m^2 + 11m - 6)/8."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return Fraction(m * (m ** 3 - 6 * m * m + 11 * m - 6), 8)
+
+
+def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:
+    """Exact k=1, delta=0 levels: E_n = w*n - g^2/w, each doubly degenerate."""
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    shift = g * g / omega
+    return [omega * (i // 2) - shift for i in range(m)]

@@ -16,7 +16,6 @@ from kphoton.asymptotics import (
     _solve_c,
     assemble_final_quadratic,
     brute_force_exponent_oracle,
-    c0_closed,
     c_recursion,
     crho_closed,
     gamma_root_elements,
@@ -27,6 +26,7 @@ from kphoton.asymptotics import (
     substitute_ansatz,
 )
 from kphoton.weyl import OperatorPoly, ParamPoly, build_reduced_operator
+from oracles import c0_closed
 
 W = ParamPoly.omega()
 E = ParamPoly.energy()
@@ -51,6 +51,17 @@ class TestRingElem:
         # g^-1 = -g^(k-1)
         x = RingElem({(-1, 0, 0, ()): ParamPoly.rational(1)}, 3)
         assert x == G(2, 3, -1)
+
+    def test_scale(self):
+        x = RingElem({(1, 0, 2, ()): W, (0, 1, 0, (1,)): ParamPoly.rational(3)}, 3)
+        assert x.scale(0) == RingElem.zero(3)
+        assert x.scale(ParamPoly()) == RingElem.zero(3)
+        assert x.scale(Fraction(-2, 3)).terms == {
+            (1, 0, 2, ()): W.scale(Fraction(-2, 3)), (0, 1, 0, (1,)): ParamPoly.rational(-2)}
+        assert x.scale(E).terms == {(1, 0, 2, ()): W * E, (0, 1, 0, (1,)): E.scale(3)}
+        assert x.scale(E).modulus == 3
+        with pytest.raises(TypeError):
+            RingElem.one().scale(0.1)      # a float would enter as a binary fraction
 
     def test_gamma_is_unit(self):
         one = RingElem.one(4)

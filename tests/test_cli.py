@@ -348,6 +348,18 @@ class TestPlumbing:
                 "--m", "4")
         assert c == d
 
+    def test_coeffs_and_ode_full_range_digest(self, capsys):
+        # every k the two subcommands accept, in every format, pinned as one
+        # digest of the concatenated stdout
+        h = hashlib.sha256()
+        for fmt in ("text", "csv", "json"):
+            for cmd, ks in (("coeffs", range(1, 65)), ("ode", range(2, 65))):
+                for k in ks:
+                    code, out, _ = run(capsys, cmd, "--k", str(k), "--format", fmt)
+                    assert code == 0
+                    h.update(out.encode())
+        assert h.hexdigest() == "f79c8624bde85fb57077397b754028cff421ba8311f231292bfb5799ec45628f"
+
     def test_output_file_atomic_write(self, capsys, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("stale")

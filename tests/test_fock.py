@@ -21,13 +21,13 @@ from kphoton.fock import (
     build_jck,
     classify_convergence,
     convergence_sweep,
-    displaced_oscillator_oracle,
     jc_blocks,
     jck_exact_spectrum,
     lowest_eigenvalues,
     sweep_csv,
     sweep_summary,
 )
+from oracles import displaced_oscillator_oracle
 
 
 class TestModelParams:
@@ -74,14 +74,14 @@ class TestBuildHkp:
         # <0,down| H |2,up> = g*sqrt(2!/0!)
         p = ModelParams(2, 0.7, 1.0, 0.3)
         m = build_hkp(p, 3)
-        assert m.entry(0, 5) == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
-        assert m.entry(1, 4) == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
+        assert m.to_dense()[0, 5] == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
+        assert m.to_dense()[1, 4] == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
 
     def test_diagonal_splitting(self):
         p = ModelParams(3, 0.2, 2.0, 0.5)
         m = build_hkp(p, 5)
-        assert m.entry(4, 4) == 2.0 * 2 - 0.5    # |2,down>
-        assert m.entry(5, 5) == 2.0 * 2 + 0.5    # |2,up>
+        assert m.to_dense()[4, 4] == 2.0 * 2 - 0.5    # |2,down>
+        assert m.to_dense()[5, 5] == 2.0 * 2 + 0.5    # |2,up>
 
     def test_exactly_symmetric(self):
         dense = build_hkp(ModelParams(3, 0.9, 1.0, 0.4), 30).to_dense()
@@ -146,11 +146,11 @@ class TestBuildJck:
     def test_block_entries(self):
         # n=0 block at k=2: states |2,down>, |0,up>; diag (2, 0), off 0.1*sqrt(2)
         m = build_jck(ModelParams(2, 0.1, 1.0, 0), 5)
-        assert m.entry(4, 4) == 2.0
-        assert m.entry(1, 1) == 0.0
-        assert m.entry(1, 4) == pytest.approx(0.1 * math.sqrt(2), rel=1e-15)
+        assert m.to_dense()[4, 4] == 2.0
+        assert m.to_dense()[1, 1] == 0.0
+        assert m.to_dense()[1, 4] == pytest.approx(0.1 * math.sqrt(2), rel=1e-15)
         # spin-down coupling of the sx model is absent here
-        assert m.entry(0, 5) == 0.0
+        assert m.to_dense()[0, 5] == 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_census_is_exact(self, k):
@@ -202,7 +202,7 @@ class TestLowestEigenvalues:
         m = ChainMatrix(2, [((1, 0), (2.0, 0.0), (0.5,))])
         r = math.hypot(1.0, 0.5)
         assert lowest_eigenvalues(m, 2) == pytest.approx([1 - r, 1 + r], rel=1e-14)
-        assert m.entry(0, 1) == m.entry(1, 0) == 0.5
+        assert m.to_dense()[0, 1] == m.to_dense()[1, 0] == 0.5
 
     def test_against_dense_reference(self):
         # random chains over a shuffled basis, merged across chain boundaries
