@@ -11,7 +11,6 @@ from .asymptotics import (
     RingElem,
     UnsolvableLevel,
     assemble_final_quadratic,
-    brute_force_exponent_oracle,
     c_recursion,
     crho_closed,
     gf_coefficient,
@@ -56,8 +55,7 @@ __all__ = [
     "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
     "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
     "UnsolvableLevel", "Verdict", "VerdictReport", "a_coeff",
-    "assemble_final_quadratic", "beta_unit_modulus",
-    "brute_force_exponent_oracle", "build_hkp", "build_jck",
+    "assemble_final_quadratic", "beta_unit_modulus", "build_hkp", "build_jck",
     "build_reduced_operator", "c_recursion", "classify_convergence",
     "convergence_sweep", "critical_lines", "crho_closed", "gf_coefficient",
     "jc_blocks", "jck_exact_spectrum", "lowest_eigenvalues", "normalizability",

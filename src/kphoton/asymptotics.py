@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .weyl import OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate
 
@@ -548,7 +547,6 @@ class ExponentBranch:
     beta: RingElem | None
     rho: QuadraticRoot | None
     c: tuple[RingElem, ...] = field(default=())   # c_0 = 1 normalization
-    gamma_multiplicity: int = 2
     beta_index: int = 0
     rho_index: int = 0
     resonant: tuple[int, ...] = ()
@@ -775,36 +773,16 @@ def rho_quadratic_general(k: int) -> tuple[Fraction, Fraction]:
     return Fraction(2 * k - 3), Fraction(3 * k * k, 4) - 2 * k + Fraction(5, 4)
 
 
-@lru_cache(maxsize=None)
-def _eta(l: int) -> Fraction:
-    # series coefficients of 1/sqrt(1-x)
-    return Fraction(math.comb(2 * l, l), 4 ** l)
-
-
 def gf_coefficient(m: int) -> Fraction:
     """C_0 of g^(m-2) z^(m-4) in e^(-g z^2/2) d^m e^(g z^2/2).
 
-    Even m: constrained multi-index sum over (n_0, n_1, n_2, n_3) with
-    n_0 + n_2 + 2 n_3 = 2 and n_1 = m/2 - 2 - n_2 - n_3; odd m = 2l+1 reduces
-    to the even case through C(2l+1) = (2l-2)(2l-1)l + C(2l).
+    d^m e^(g z^2/2) = e^(g z^2/2) sum_i m!/(i! (m-2i)! 2^i) g^(m-i) z^(m-2i)
+    (the Hermite polynomial expansion); C_0 is its i = 2 term,
+    m!/(2! (m-4)! 2^2) = 3 C(m, 4).
     """
     if m < 4:
         raise ValueError("m must be >= 4")
-    if m % 2:
-        l = (m - 1) // 2
-        return Fraction((2 * l - 2) * (2 * l - 1) * l) + gf_coefficient(2 * l)
-    kk = m // 2
-    total = Fraction(0)
-    for n3 in range(0, 2):
-        for n2 in range(0, 3 - 2 * n3):
-            n0 = 2 - n2 - 2 * n3
-            n1 = kk - 2 - n2 - n3
-            if n1 < 0:
-                continue
-            denom = (math.factorial(n1) * math.factorial(n2) * math.factorial(n3)
-                     * 2 ** (n1 + n2 + n3))
-            total += _eta(n0) / denom
-    return Fraction(2 ** kk * math.factorial(kk)) * total
+    return Fraction(3 * math.comb(m, 4))
 
 
 def crho_closed(k: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -817,52 +795,22 @@ def crho_closed(k: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
             Fraction(k * (k * k + 3), 2) - 2 * k * k)
 
 
-def brute_force_exponent_oracle(m: int) -> dict:
-    """Coefficient table of d^m e^(g z^2/2) z^r by m-fold differentiation.
-
-    Returns {(a, b, c): Fraction} for the g^a r^b z^(r+c) terms.
-    """
-    if m > 24:
-        raise ValueError("cost guard: m must be <= 24")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    # state: offset e -> {(a, b): Fraction}
-    state = {0: {(0, 0): Fraction(1)}}
-    for _ in range(m):
-        nxt: dict[int, dict] = {}
-        for e, poly in state.items():
-            up, down = nxt.setdefault(e + 1, {}), nxt.setdefault(e - 1, {})
-            for (a, b), v in poly.items():
-                accumulate(up, (a + 1, b), v)         # g z branch
-                accumulate(down, (a, b + 1), v)       # r part of (r + e)
-                if e:
-                    accumulate(down, (a, b), v * e)   # offset part of (r + e)
-        state = nxt
-    table = {}
-    for e, poly in state.items():
-        for (a, b), v in poly.items():
-            table[(a, b, e)] = v
-    return table
-
-
 def assemble_final_quadratic(k: int, *, from_oracle: bool = False) -> tuple[Fraction, Fraction]:
     """Monic level-4 quadratic rebuilt from the C-coefficients at g^k = -1.
 
     The two g-powers g^(2k-2) and g^(k-2) merge with a relative sign; dividing
     by the leading -k^2 gives the monic pair to compare with
-    rho_quadratic_general.
+    rho_quadratic_general.  The coefficients come from the closed forms
+    crho_closed and gf_coefficient, or with from_oracle from the d/dz table
+    that substitute_ansatz differentiates, _c0_derivatives.
     """
     if k < 5:
         raise ValueError("assembly stated for k >= 5")
     if from_oracle:
-        t2k = brute_force_exponent_oracle(2 * k)
-        tk = brute_force_exponent_oracle(k)
-        c2k_r2 = t2k[(2 * k - 2, 2, 2 * k - 4)]
-        c2k_r = t2k[(2 * k - 2, 1, 2 * k - 4)]
-        ck_r2 = tk[(k - 2, 2, k - 4)]
-        ck_r = tk[(k - 2, 1, k - 4)]
-        c0_2k = t2k[(2 * k - 2, 0, 2 * k - 4)]
-        c0_k = tk[(k - 2, 0, k - 4)]
+        # slot 4 of Dz^m holds z^(r + m - 4): its b-free g^(m-2) r^p terms
+        slots = _c0_derivatives(2 * k, 4)
+        c2k_r2, c2k_r, c0_2k = (slots[2 * k][4][2 * k - 2, 0, p] for p in (2, 1, 0))
+        ck_r2, ck_r, c0_k = (slots[k][4][k - 2, 0, p] for p in (2, 1, 0))
     else:
         c2k_r2, c2k_r, ck_r2, ck_r = crho_closed(k)
         c0_2k, c0_k = gf_coefficient(2 * k), gf_coefficient(k)

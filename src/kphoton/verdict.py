@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,10 +42,6 @@ class CriticalLine:
 
     branch_index: int
     theta_over_pi: Fraction
-
-    @property
-    def direction_over_pi(self) -> Fraction:
-        return -self.theta_over_pi / 2
 
 
 def critical_lines(k: int) -> list[CriticalLine]:
@@ -128,7 +123,6 @@ class NormalizabilityReport:
 
     branch: ExponentBranch
     re_rho: Fraction | None        # exact value when rational or a complex pair
-    re_rho_approx: float
     sign_vs_threshold: int         # certified sign of Re(rho) + 1/2
     normalizable: bool
     beta_modulus_flag: bool
@@ -140,16 +134,13 @@ def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     if omega <= 0:
         raise ValueError("omega must be positive")
     r, s, d = _rho_at(branch.rho, omega)
-    if d > 0:
-        # real surd pair; display only, the sign below is exact
-        re, approx = None, float(r) + float(s) * math.sqrt(d.numerator / d.denominator)
-    else:
-        # rational, a complex pair, or a collapsed double root: Re(rho) = r
-        re, approx = r, float(r)
+    # a real surd pair has no rational Re(rho); otherwise (rational, a complex
+    # pair, or a collapsed double root) Re(rho) = r
+    re = None if d > 0 else r
     sign = _sign_x_plus_y_sqrt_d(r + Fraction(1, 2), s, max(d, 0))
     line = critical_lines(branch.k)[branch.gamma_index]
     return NormalizabilityReport(
-        branch=branch, re_rho=re, re_rho_approx=approx,
+        branch=branch, re_rho=re,
         sign_vs_threshold=sign, normalizable=sign < 0,
         beta_modulus_flag=beta_unit_modulus(branch, line))
 
@@ -234,7 +225,9 @@ def _build_trace(k, levels, branches, reports) -> dict:
             {
                 "gamma_power": 2 * b.gamma_index + 1,
                 "gamma": b.gamma.text(),
-                "gamma_multiplicity": b.gamma_multiplicity,
+                # every gamma is a double root: solve_levels checks that
+                # level 0 is a unit times (g^k + 1)^2 c0
+                "gamma_multiplicity": 2,
                 "beta": b.beta.text(),
                 "rho": b.rho.text(),
                 "c": [ci.text() for ci in b.c],

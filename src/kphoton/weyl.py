@@ -123,14 +123,6 @@ class ParamPoly:
                 out[e] = out.get(e, 0) + x * y
         return ParamPoly.over(out, self.den * other.den)
 
-    def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative power of a general polynomial")
-        out = ParamPoly.rational(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, q) -> "ParamPoly":
         return self * ParamPoly.rational(q)
 
@@ -245,12 +237,6 @@ class OperatorPoly:
 
     def scale(self, p: ParamPoly) -> "OperatorPoly":
         return OperatorPoly({ij: q * p for ij, q in self.terms.items()})
-
-    def z_degree(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
-
-    def d_degree(self) -> int:
-        return max((j for _, j in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -8,8 +8,9 @@ another way, kept here so that the package ships only what its commands run:
   cross-term weights weyl.a_coeff.
 - apply_to_polynomial: operators acting on polynomials in z, the check on
   op_mul itself (product against composition).
-- c0_closed: the closed form of the c_0 coefficient, the check on
-  asymptotics.gf_coefficient.
+- leibniz_hermite_table: d^m [e^(g z^2/2) z^r] in closed form, the check on
+  the d/dz table asymptotics._c0_derivatives and on the closed forms
+  asymptotics.gf_coefficient and asymptotics.crho_closed.
 - displaced_oscillator_oracle: the exact k = 1, delta = 0 spectrum, the check
   on fock.build_hkp and fock.lowest_eigenvalues.
 
@@ -19,7 +20,7 @@ on sys.path because it holds test modules and no __init__.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import cache
 
 from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
@@ -80,11 +81,35 @@ def apply_to_polynomial(a: OperatorPoly, poly: dict[int, ParamPoly]) -> dict[int
     return out
 
 
-def c0_closed(m: int) -> Fraction:
-    """m(m^3 - 6m^2 + 11m - 6)/8."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return Fraction(m * (m ** 3 - 6 * m * m + 11 * m - 6), 8)
+def _falling(n: int) -> list[int]:
+    """Coefficients of r^p, p = 0..n, in the falling factorial r(r-1)...(r-n+1)."""
+    poly = [1]
+    for s in range(n):
+        # times (r - s)
+        poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def leibniz_hermite_table(m: int) -> dict[tuple[int, int, int], int]:
+    """d^m [e^(g z^2/2) z^r] as {(a, p, e): int}, the g^a r^p z^(r+e) terms
+    (the factor e^(g z^2/2) taken out).
+
+    Leibniz over the two factors, with the Hermite expansion
+    d^j e^(g z^2/2) = e^(g z^2/2) sum_i j!/(i! (j-2i)! 2^i) g^(j-i) z^(j-2i)
+    and d^(m-j) z^r = (r)_(m-j) z^(r-m+j), the falling factorial expanded in
+    powers of r.  A sum of closed forms, not a differentiation recurrence.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    table: dict[tuple[int, int, int], int] = {}
+    for j in range(m + 1):
+        fall = _falling(m - j)
+        for i in range(j // 2 + 1):
+            hermite = math.comb(m, j) * math.factorial(j) // (
+                math.factorial(i) * math.factorial(j - 2 * i) * 2 ** i)
+            for p, s in enumerate(fall):
+                accumulate(table, (j - i, p, 2 * j - 2 * i - m), hermite * s)
+    return table
 
 
 def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:

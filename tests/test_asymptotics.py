@@ -15,7 +15,6 @@ from kphoton.asymptotics import (
     _c0_derivatives,
     _solve_c,
     assemble_final_quadratic,
-    brute_force_exponent_oracle,
     c_recursion,
     crho_closed,
     gamma_root_elements,
@@ -26,7 +25,7 @@ from kphoton.asymptotics import (
     substitute_ansatz,
 )
 from kphoton.weyl import OperatorPoly, ParamPoly, build_reduced_operator
-from oracles import c0_closed
+from oracles import leibniz_hermite_table
 
 W = ParamPoly.omega()
 E = ParamPoly.energy()
@@ -189,11 +188,12 @@ class TestAnsatzSeries:
         assert slots[3][5]                     # offset -2, the last slot kept
         assert len(slots[3]) == 6              # r(r-1)(r-2) at -3 is past depth
 
-    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("m", range(0, 25))
     def test_c0_terms_match_brute_force_oracle(self, m):
-        # at b = 0 slot i is d^m e^(g z^2/2) z^r at z^(r+m-i)
-        slots = _c0_derivatives(m, 8)[m]
-        table = brute_force_exponent_oracle(m)
+        # at b = 0 slot i is d^m e^(g z^2/2) z^r at z^(r+m-i); Dz^m reaches
+        # down to z^(r-m), so slots 0..2m are every slot
+        slots = _c0_derivatives(m, 2 * m)[m]
+        table = leibniz_hermite_table(m)
         for i, slot in enumerate(slots):
             assert all(type(v) is int for v in slot.values())
             got = {(g, r): v for (g, b, r), v in slot.items() if b == 0}
@@ -309,7 +309,6 @@ class TestSolveLevels:
         branches = solve_levels(levels_for(3), 3)
         assert len(branches) == 6
         assert [b.gamma_index for b in branches] == [0, 0, 1, 1, 2, 2]
-        assert all(b.gamma_multiplicity == 2 for b in branches)
         # every branch: rho = -2 exactly
         for b in branches:
             assert b.rho.is_rational()
@@ -519,15 +518,15 @@ class TestClosedForms:
         assert b * b - 4 * c == (k - 2) ** 2
 
     def test_c0_closed(self):
-        assert c0_closed(4) == 3
-        assert c0_closed(6) == 45
-        assert c0_closed(3) == 0
+        # the paper's quartic m(m^3 - 6m^2 + 11m - 6)/8 = 3 C(m, 4)
+        for m in range(4, 41):
+            assert gf_coefficient(m) == Fraction(m * (m ** 3 - 6 * m * m + 11 * m - 6), 8)
 
     def test_gf_matches_closed_form(self):
         assert gf_coefficient(4) == 3
         assert gf_coefficient(6) == 45
-        for m in range(4, 25):
-            assert gf_coefficient(m) == c0_closed(m)
+        for m in range(4, 41):
+            assert gf_coefficient(m) == leibniz_hermite_table(m)[(m - 2, 0, m - 4)]
         with pytest.raises(ValueError):
             gf_coefficient(3)
 
@@ -538,27 +537,25 @@ class TestClosedForms:
 
 
 class TestBruteForceOracle:
+    # the reference table of d^m [e^(g z^2/2) z^r] is the Leibniz-Hermite
+    # closed form in tests/oracles.py
     def test_m4_fixture(self):
         # d^4 e^(g z^2/2) = (3 g^2 + 6 g^3 z^2 + g^4 z^4) e^(g z^2/2) at r=0
-        t = brute_force_exponent_oracle(4)
+        t = leibniz_hermite_table(4)
         assert t[(2, 0, 0)] == 3
         assert t[(3, 0, 2)] == 6
         assert t[(4, 0, 4)] == 1
 
     def test_m10_fixtures(self):
-        t = brute_force_exponent_oracle(10)
+        t = leibniz_hermite_table(10)
         assert t[(8, 2, 6)] == 45           # k=5 coefficient of g^8 r^2 z^6
         assert t[(9, 1, 8)] == 10
-
-    def test_cost_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_exponent_oracle(25)
 
     @pytest.mark.parametrize("k", range(5, 11))
     def test_reproduces_crho_closed(self, k):
         c2k_r2, c2k_r, ck_r2, ck_r = crho_closed(k)
-        t2k = brute_force_exponent_oracle(2 * k)
-        tk = brute_force_exponent_oracle(k)
+        t2k = leibniz_hermite_table(2 * k)
+        tk = leibniz_hermite_table(k)
         assert t2k[(2 * k - 2, 2, 2 * k - 4)] == c2k_r2
         assert t2k[(2 * k - 2, 1, 2 * k - 4)] == c2k_r
         assert tk[(k - 2, 2, k - 4)] == ck_r2
@@ -566,7 +563,7 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("k", range(5, 11))
     def test_c0_slot_matches_gf(self, k):
-        t2k = brute_force_exponent_oracle(2 * k)
+        t2k = leibniz_hermite_table(2 * k)
         assert t2k[(2 * k - 2, 0, 2 * k - 4)] == gf_coefficient(2 * k)
 
 
@@ -575,7 +572,7 @@ class TestFinalAssembly:
     def test_assembly_reproduces_final_quadratic(self, k):
         assert assemble_final_quadratic(k) == rho_quadratic_general(k)
 
-    @pytest.mark.parametrize("k", range(5, 11))
+    @pytest.mark.parametrize("k", range(5, 13))
     def test_assembly_from_oracle_route(self, k):
         assert assemble_final_quadratic(k, from_oracle=True) == rho_quadratic_general(k)
 

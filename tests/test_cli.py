@@ -197,6 +197,17 @@ class TestGf:
         assert out == ("name,value\nc0,210\nC2k_r2,45\nC2k_r,315\nCk_r2,10\n"
                        "Ck_r,20\nquadratic_linear,7\nquadratic_constant,10\n")
 
+    def test_full_range_digest(self, capsys):
+        # every k gf accepts, in every format, pinned as one digest of the
+        # concatenated stdout
+        h = hashlib.sha256()
+        for fmt in ("text", "csv", "json"):
+            for k in range(5, 13):
+                code, out, _ = run(capsys, "gf", "--k", str(k), "--format", fmt)
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest() == "6569c8f910321439e4513ab23fe96e575a24e794756d8f95a786254b7da634a1"
+
 
 class TestSweep:
     def test_csv_header_exact(self, capsys):

@@ -14,6 +14,7 @@ from kphoton.verdict import (
     CriticalLine,
     Verdict,
     _exponent_pipeline,
+    _rho_at,
     _sign_x_plus_y_sqrt_d,
     beta_unit_modulus,
     critical_lines,
@@ -55,8 +56,6 @@ class TestCriticalLines:
         assert len({ln.theta_over_pi for ln in lines}) == k
         for ln in lines:
             assert F(-1) < ln.theta_over_pi <= F(1)
-            # ray direction is minus half the angle of the Gaussian root
-            assert ln.direction_over_pi == -ln.theta_over_pi / 2
 
     def test_rejects_small_or_non_integer(self):
         for bad in (2, 1, 0, -3, 3.0):
@@ -169,7 +168,6 @@ class TestNormalizability:
         for b in branches:
             rep = normalizability(b, 5)
             assert rep.re_rho == F(-5, 2)
-            assert rep.re_rho_approx == -2.5
             assert rep.normalizable
 
     def test_k4_omega_1_real_pair(self):
@@ -179,10 +177,9 @@ class TestNormalizability:
             assert rep.re_rho is None          # irrational real value
             assert rep.sign_vs_threshold == -1
             assert rep.normalizable
-        # -5/2 +- sqrt(15)/4
-        approx = sorted({round(r.re_rho_approx, 12) for r in reps})
-        assert approx == [round(-2.5 - 15 ** 0.5 / 4, 12),
-                          round(-2.5 + 15 ** 0.5 / 4, 12)]
+        # -5/2 +- sqrt(15)/4, as (rational, surd, disc)
+        roots = {_rho_at(r.branch.rho, 1) for r in reps}
+        assert roots == {(F(-5, 2), F(1, 4), F(15)), (F(-5, 2), F(-1, 4), F(15))}
 
     def test_synthetic_boundary_and_failures(self):
         ok = normalizability(_branch(3, 0, RingElem.zero(3), _rational_rho(-2)), 1)

