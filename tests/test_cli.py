@@ -116,6 +116,17 @@ class TestExponents:
                        '3,"-1","1/3*w","-2"\n3,"-1","-1/3*w","-2"\n'
                        '5,"-g2","-1/3*w*g1","-2"\n5,"-g2","1/3*w*g1","-2"\n')
 
+    def test_full_range_digest(self, capsys):
+        # every k exponents accepts, in every format, pinned as one digest of
+        # the concatenated stdout
+        h = hashlib.sha256()
+        for fmt in ("text", "csv", "json"):
+            for k in range(3, 13):
+                code, out, _ = run(capsys, "exponents", "--k", str(k), "--format", fmt)
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest() == "75f9932d1cec04fa762b93e00c34fe6924e7013e31e08ca39fd968d7896ee893"
+
 
 class TestVerdict:
     def test_json_not_self_adjoint(self, capsys):
@@ -172,6 +183,23 @@ class TestVerdict:
         assert code == 0
         assert rho in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_full_range_digest(self, capsys):
+        # every k verdict accepts, in both formats, at the benchmark's six
+        # (omega, delta) pairs, plus the k = 4 double root at omega = 4
+        params = [("5", "1/2"), ("7/2", "1/2"), ("1", "0"), ("3/4", "-2/3"),
+                  ("11/3", "5/7"), ("2", "-1")]
+        runs = [(k, omega, delta) for k in range(1, 13) for omega, delta in params]
+        runs.append((4, "4", "0"))
+        h = hashlib.sha256()
+        for fmt in ("text", "json"):
+            for k, omega, delta in runs:
+                # the = form lets argparse take a negative rational as the value
+                code, out, _ = run(capsys, "verdict", "--k", str(k), f"--omega={omega}",
+                                   f"--delta={delta}", "--format", fmt)
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest() == "d5ca37a97202c1777227768c8506eb00d9c6192d89d8b01c6ecd7de2911983ea"
 
 
 class TestGf:
@@ -344,6 +372,22 @@ class TestJcExact:
         # the k uncoupled levels n < 400, then each block's w*(n+k) and w*n
         want = sorted([*range(400), *range(400, 404), *range(4)])
         assert json.loads(out)["eigenvalues"] == want
+
+    def test_full_range_digest(self, capsys):
+        # a grid over k, coupling, splitting and n-max, in every format,
+        # pinned as one digest of the concatenated stdout
+        h = hashlib.sha256()
+        for fmt in ("csv", "json", "text"):
+            for k in range(1, 5):
+                for g in ("0", "1/4"):
+                    for delta in ("0", "1/2"):
+                        for n_max in ("0", "6"):
+                            code, out, _ = run(capsys, "jc-exact", "--k", str(k), "--g", g,
+                                               "--delta", delta, "--n-max", n_max,
+                                               "--format", fmt)
+                            assert code == 0
+                            h.update(out.encode())
+        assert h.hexdigest() == "51a64226f6e1d9e7c62de1b0f1b690884227d0f0d30eaf6d88210b1b0abefe18"
 
 
 class TestPlumbing:
