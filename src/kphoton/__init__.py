@@ -19,7 +19,6 @@ from .asymptotics import (
     substitute_ansatz,
 )
 from .verdict import (
-    CriticalLine,
     NormalizabilityReport,
     Verdict,
     VerdictReport,
@@ -50,15 +49,14 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ChainMatrix", "Classification", "CriticalLine",
-    "DivisionByNonUnit", "ExponentBranch", "JCBlock", "LevelEquation",
-    "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
-    "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
+    "ChainMatrix", "Classification", "DivisionByNonUnit", "ExponentBranch",
+    "LevelEquation", "ModelParams", "NormalizabilityReport", "OperatorPoly",
+    "OutOfScope", "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
     "UnsolvableLevel", "Verdict", "VerdictReport", "a_coeff",
     "assemble_final_quadratic", "beta_unit_modulus", "build_hkp", "build_jck",
     "build_reduced_operator", "c_recursion", "classify_convergence",
     "convergence_sweep", "critical_lines", "crho_closed", "gf_coefficient",
-    "jc_blocks", "jck_exact_spectrum", "lowest_eigenvalues", "normalizability",
+    "jck_exact_spectrum", "lowest_eigenvalues", "normalizability",
     "rho_quadratic_general", "solve_levels", "substitute_ansatz",
     "sweep_csv", "sweep_summary", "symmetry_divergence", "verdict",
 ]

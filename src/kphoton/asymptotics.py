@@ -99,8 +99,8 @@ class RingElem:
         return cls({(0, 0, 0, ()): p}, modulus)
 
     @classmethod
-    def gamma(cls, power: int = 1, modulus=None, sign: int = 1):
-        return cls({(power, 0, 0, ()): P_ONE.scale(sign)}, modulus)
+    def gamma(cls, power: int = 1, modulus=None):
+        return cls({(power, 0, 0, ()): P_ONE}, modulus)
 
     # -- predicates / accessors
     def is_zero(self) -> bool:
@@ -533,23 +533,37 @@ class QuadraticRoot:
 # ---------------------------------------------------------------------------
 # branch solving
 
+def _gamma_root(k: int, m: int) -> RingElem:
+    # root m of g^k = -1 is g^(2m+1); the constructor folds it to +-g^p, p < k
+    return RingElem.gamma(2 * m + 1, k)
+
+
 @dataclass(frozen=True)
 class ExponentBranch:
-    """One asymptotic branch, instantiated at a concrete gamma root.
+    """One asymptotic branch, instantiated at the gamma root gamma_index.
 
-    While solve_levels runs, gamma, beta and rho are None until a level fixes
-    them; every branch it returns has all three.
+    While solve_levels runs, beta and rho are None until a level fixes them;
+    every branch it returns has both.
     """
 
     k: int
     gamma_index: int          # m: the root exp(i(2m+1)pi/k) of g^k = -1
-    gamma: RingElem | None    # +-g^p realizing that root in the quotient ring
     beta: RingElem | None
     rho: QuadraticRoot | None
     c: tuple[RingElem, ...] = field(default=())   # c_0 = 1 normalization
     beta_index: int = 0
     rho_index: int = 0
     resonant: tuple[int, ...] = ()
+
+    @property
+    def gamma_power(self) -> int:
+        """2m + 1: the root is g^(2m+1), e^(i(2m+1)pi/k) in the complex embedding."""
+        return 2 * self.gamma_index + 1
+
+    @property
+    def gamma(self) -> RingElem:
+        """+-g^p realizing the root g^(2m+1) in the quotient ring."""
+        return _gamma_root(self.k, self.gamma_index)
 
     def substitute(self, elem: RingElem) -> RingElem:
         """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
@@ -559,8 +573,7 @@ class ExponentBranch:
         carries exactly one c_n, and every known value is c-free (_solve_c checks
         this), so a substituted value never brings in a c_j left to replace.
         """
-        if self.gamma is not None:
-            elem = elem.subs("g", self.gamma)
+        elem = elem.subs("g", self.gamma)
         if self.beta is not None:
             elem = elem.subs("b", self.beta)
         if self.rho is not None:
@@ -578,17 +591,17 @@ class ExponentBranch:
                 accumulate(out, (key[0] + g, key[1] + b, key[2] + r, ()), p * q)
         return RingElem(out, elem.modulus)
 
+    def residual(self, level: LevelEquation) -> RingElem:
+        """The level in the quotient ring with every known value substituted."""
+        return self.substitute(level.coeff.reduce(self.k))
+
     def annihilates(self, level: LevelEquation) -> bool:
-        return self.substitute(level.coeff.reduce(self.k)).is_zero()
+        return not self.residual(level)
 
 
 def gamma_root_elements(k: int) -> list[RingElem]:
     """The k roots of g^k = -1 as ring elements: root m is g^(2m+1) reduced."""
-    out = []
-    for m in range(k):
-        sign, p = _fold_gamma(2 * m + 1, k)
-        out.append(RingElem.gamma(p, k, sign))
-    return out
+    return [_gamma_root(k, m) for m in range(k)]
 
 
 def _solve_beta(eq: RingElem, level: int) -> list[RingElem]:
@@ -709,30 +722,32 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         raise UnsolvableLevel(0, lvl0.text(),
                               "level 0 does not factor as a unit times (g^k+1)^2*c0")
 
-    # triangular elimination over levels 1..4 with g symbolic; level l holds
-    # no c_n past c_l, so n_max = 4 never truncates
-    partial = [ExponentBranch(k, 0, None, None, None, c=(RingElem.one(k),))]
+    # triangular elimination over levels 1..4 at root 0, whose gamma is g
+    # itself, so g stays symbolic; level l holds no c_n past c_l, so
+    # n_max = 4 never truncates
+    partial = [ExponentBranch(k, 0, None, None, c=(RingElem.one(k),))]
     for lv in levels[1:5]:
-        coeff, nxt = lv.coeff.reduce(k), []
+        nxt = []
         for br in partial:
-            eq = br.substitute(coeff)
+            eq = br.residual(lv)
             nxt.extend(_advance(br, eq, lv.level, 4) if eq else [br])
         partial = nxt
 
-    branches = [replace(br, gamma_index=m, gamma=groot, beta=br.beta.subs("g", groot),
+    # root-major, and _advance keeps (beta_index, rho_index) order
+    branches = [replace(br, gamma_index=m, beta=br.beta.subs("g", groot),
                         c=tuple(ci.subs("g", groot) for ci in br.c))
                 for m, groot in enumerate(gamma_root_elements(k)) for br in partial]
-    branches.sort(key=lambda b: (b.gamma_index, b.beta_index, b.rho_index))
 
     for br in branches[: max(1, len(branches) // k)]:
-        # the m = 0 branches take gamma = g: they are the symbolic solution.
-        # Every other branch is its image under the ring homomorphism
-        # g -> gamma, which keeps a zero level zero (it need not be an
-        # automorphism: at k = 3 one root is g -> -1)
+        # the m = 0 branches are the symbolic solution.  Every other branch
+        # is its image under the ring homomorphism g -> gamma, which keeps a
+        # zero level zero (it need not be an automorphism: at k = 3 one root
+        # is g -> -1)
         for lv in levels[:5]:
-            if not br.annihilates(lv):
-                raise UnsolvableLevel(lv.level, br.substitute(
-                    lv.coeff.reduce(k)).text(), "branch fails back-substitution")
+            residual = br.residual(lv)
+            if residual:
+                raise UnsolvableLevel(lv.level, residual.text(),
+                                      "branch fails back-substitution")
     return branches
 
 
@@ -753,7 +768,7 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     for lv in levels[5:]:
         if len(branch.c) > n_max:
             break
-        eq = branch.substitute(lv.coeff.reduce(branch.k))
+        eq = branch.residual(lv)
         if eq:
             (branch,) = _advance(branch, eq, lv.level, n_max)
     if len(branch.c) <= n_max:

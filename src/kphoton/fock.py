@@ -140,42 +140,26 @@ def build_jck(params: ModelParams, N: int) -> ChainMatrix:
     return ChainMatrix(2 * N, chains)
 
 
-@dataclass(frozen=True)
-class JCBlock:
-    """One invariant 2x2 block over {|n+k,down>, |n,up>}."""
+def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
+    """Closed-form spectrum: the 2x2 chains of build_jck for n <= n_max, each
+    diagonalized as (d0 + d1)/2 -+ hypot((d0 - d1)/2, off), plus the k
+    uncoupled spin-down levels w*n - d below the first block.
 
-    n: int
-    diag_down: float     # w(n+k) - d
-    diag_up: float       # wn + d
-    offdiag: float       # g sqrt((n+k)!/n!)
-
-    @property
-    def eigenvalues(self) -> tuple[float, float]:
-        mean = (self.diag_down + self.diag_up) / 2
-        r = math.hypot((self.diag_down - self.diag_up) / 2, self.offdiag)
-        return (mean - r, mean + r)
-
-
-def jc_blocks(params: ModelParams, n_max: int) -> list[JCBlock]:
+    build_jck(params, n_max + k + 1) holds exactly those blocks; its spin-up
+    singletons n > n_max lost their partner to the truncation and are left out.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    k = params.k
-    w = _couplings(params, np.arange(k, n_max + k + 1))
-    n = np.arange(n_max + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        down = params.omega * (n + k) - params.delta
-        up = params.omega * n + params.delta
-    bad = np.flatnonzero(~(np.isfinite(down) & np.isfinite(up)))
-    if bad.size:
-        raise _not_finite("diagonal w*(n+k) - d, w*n + d", k, bad[0])
-    return [JCBlock(i, float(down[i]), float(up[i]), float(w[i])) for i in range(n_max + 1)]
-
-
-def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
-    """Closed-form spectrum: block pairs for n <= n_max plus the k uncoupled
-    spin-down levels w*n - d below the first block."""
-    levels = [(n, params.omega * n - params.delta) for n in range(params.k)]
-    levels += [(blk.n, e) for blk in jc_blocks(params, n_max) for e in blk.eigenvalues]
+    levels = []
+    for idx, diag, off in build_jck(params, n_max + params.k + 1).chains:
+        n = int(idx[-1]) // 2
+        if len(diag) == 2:
+            # Python floats: an overflowing mean becomes inf without a warning
+            d0, d1 = float(diag[0]), float(diag[1])
+            mean, r = (d0 + d1) / 2, math.hypot((d0 - d1) / 2, float(off[0]))
+            levels += [(n, mean - r), (n, mean + r)]
+        elif idx[0] % 2 == 0:
+            levels.append((n, float(diag[0])))
     for n, e in levels:
         if not math.isfinite(e):
             raise _not_finite("closed-form eigenvalue", params.k, n)
@@ -228,9 +212,15 @@ class SpectrumSweep:
 _COLLAPSE_FACTOR = 10.0
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def convergence_sweep(params: ModelParams, N_list, m: int = 10,
                       tol: float = 1e-6) -> SpectrumSweep:
     """Lowest-m spectra across truncation sizes, merged by N, classified."""
+    _check_tol(tol)
     sizes = [int(N) for N in N_list]
     if len(sizes) < 3:
         raise ValueError("need at least 3 truncation sizes")
@@ -262,6 +252,7 @@ def classify_convergence(sweep: SpectrumSweep,
     """
     if tol is None:
         tol = sweep.tol
+    _check_tol(tol)
     if len(sweep.N_list) < 3:
         raise ValueError("need at least 3 truncation sizes")
     if any(len(row) < 2 for row in sweep.eigenvalues):

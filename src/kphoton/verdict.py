@@ -33,19 +33,12 @@ class Verdict(enum.Enum):
     OutOfScope = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class CriticalLine:
-    """Ray z(t) = t*e^(-i theta/2) for one Gaussian exponent root.
+def critical_lines(k: int) -> list[Fraction]:
+    """theta_m / pi for each root m of g^k = -1, theta_m = (2m+1) pi / k.
 
-    Angles are exact rational multiples of pi, normalized into (-1, 1].
+    Root m's ray is z(t) = t*e^(-i theta_m/2); each angle is normalized
+    into (-1, 1].
     """
-
-    branch_index: int
-    theta_over_pi: Fraction
-
-
-def critical_lines(k: int) -> list[CriticalLine]:
-    """One line per root of g^k = -1: theta_m = (2m+1) pi / k."""
     if not isinstance(k, int) or k < 3:
         raise ValueError(f"critical lines are defined for k >= 3, got {k!r}")
     out = []
@@ -53,31 +46,30 @@ def critical_lines(k: int) -> list[CriticalLine]:
         t = Fraction(2 * m + 1, k)
         if t > 1:
             t -= 2
-        out.append(CriticalLine(m, t))
+        out.append(t)
     return out
 
 
 # ---------------------------------------------------------------------------
 # exact angle arithmetic
 
-def beta_unit_modulus(branch: ExponentBranch, line: CriticalLine) -> bool:
-    """True iff Re(beta * e^(-i theta/2)) = 0 exactly (symbolic in w).
+def beta_unit_modulus(branch: ExponentBranch) -> bool:
+    """True iff Re(beta * e^(-i theta/2)) = 0 exactly (symbolic in w) on the
+    branch's own critical line, theta = (2m+1) pi/k.
 
     The pipeline's beta is 0 or one term q*g^p, q a nonzero polynomial in the
-    real parameters.  With g = zeta^2 and e^(-i theta/2) = zeta^shift, where
-    zeta = e^(i pi/(2k)), the real part is q*cos(e pi/(2k)) for e = 2p + shift:
-    zero iff e = k (mod 2k).  A beta with several powers of g is refused.
+    real parameters.  With g = zeta^2 and e^(-i theta/2) = zeta^-(2m+1), where
+    zeta = e^(i pi/(2k)), the real part is q*cos(e pi/(2k)) for
+    e = 2p - (2m+1): zero iff e = k (mod 2k).  A beta with several powers of
+    g is refused.
     """
     k = branch.k
-    shift = -int(line.theta_over_pi * k)
-    if Fraction(shift) != -line.theta_over_pi * k:
-        raise ValueError("line angle is not a multiple of pi/k")
     terms = branch.beta.terms
     if any(b or r or c for _, b, r, c in terms):
         raise ValueError("beta is not resolved to a scalar ring element")
     if len(terms) > 1:
         raise ValueError(f"beta {branch.beta.text()} has more than one power of g")
-    return all((2 * p + shift) % (2 * k) == k for p, _, _, _ in terms)
+    return all((2 * p - branch.gamma_power) % (2 * k) == k for p, _, _, _ in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +130,10 @@ def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     # pair, or a collapsed double root) Re(rho) = r
     re = None if d > 0 else r
     sign = _sign_x_plus_y_sqrt_d(r + Fraction(1, 2), s, max(d, 0))
-    line = critical_lines(branch.k)[branch.gamma_index]
     return NormalizabilityReport(
         branch=branch, re_rho=re,
         sign_vs_threshold=sign, normalizable=sign < 0,
-        beta_modulus_flag=beta_unit_modulus(branch, line))
+        beta_modulus_flag=beta_unit_modulus(branch))
 
 
 def symmetry_divergence(k: int, branch: ExponentBranch) -> bool:
@@ -174,8 +165,7 @@ class VerdictReport:
     delta: Fraction
     verdict: Verdict
     reports: tuple[NormalizabilityReport, ...]
-    lines: tuple[CriticalLine, ...]
-    symmetry_divergence: bool
+    lines: tuple[Fraction, ...]    # theta_m / pi, as critical_lines returns
     trace: dict
 
     def trace_json(self) -> str:
@@ -189,7 +179,7 @@ class VerdictReport:
         for rep in self.reports:
             br = rep.branch
             entry = {
-                "gamma_power": 2 * br.gamma_index + 1,
+                "gamma_power": br.gamma_power,
                 "beta": br.beta.text(),
                 "rho": _rho_json(br, self.omega),
                 "normalizable": rep.normalizable,
@@ -205,7 +195,7 @@ class VerdictReport:
             "delta": str(self.delta),
             "verdict": self.verdict.value,
             "branches": branches,
-            "critical_lines": [str(ln.theta_over_pi) for ln in self.lines],
+            "critical_lines": [str(t) for t in self.lines],
             "trace_ref": self.trace_ref(),
         }
 
@@ -223,7 +213,7 @@ def _build_trace(k, levels, branches, reports) -> dict:
         "levels": [{"level": lv.level, "coeff": lv.text()} for lv in levels],
         "branches": [
             {
-                "gamma_power": 2 * b.gamma_index + 1,
+                "gamma_power": b.gamma_power,
                 "gamma": b.gamma.text(),
                 # every gamma is a double root: solve_levels checks that
                 # level 0 is a unit times (g^k + 1)^2 c0
@@ -255,13 +245,13 @@ def verdict(k: int, omega, delta) -> VerdictReport:
         raise ValueError("omega must be positive")
     if k == 1:
         return VerdictReport(
-            k, omega, delta, Verdict.SelfAdjoint, (), (), False,
+            k, omega, delta, Verdict.SelfAdjoint, (), (),
             {"k": 1, "note": "linear coupling is relatively bounded with "
                              "relative bound 0; self-adjointness is inherited "
                              "from the free field operator"})
     if k == 2:
         return VerdictReport(
-            k, omega, delta, Verdict.OutOfScope, (), (), False,
+            k, omega, delta, Verdict.OutOfScope, (), (),
             {"k": 2, "note": "quadratic coupling: the Gaussian exponent is "
                              "not a root of unity; see the truncation "
                              "numerics for the collapse at g = omega/2"})
@@ -277,17 +267,10 @@ def verdict(k: int, omega, delta) -> VerdictReport:
             raise RuntimeError("beta depends on E or Delta")
 
     reports = tuple(normalizability(b, omega) for b in branches)
-    lines = tuple(critical_lines(k))
-    divergent = False
-    for b in branches:
-        try:
-            divergent = divergent or symmetry_divergence(k, b)
-        except ValueError:
-            pass
     if not all(r.normalizable for r in reports):
         raise RuntimeError(
             "unexpected non-normalizable branch; the k >= 3 theory "
             "guarantees Re(rho) < -1/2")
     trace = _build_trace(k, levels, branches, reports)
     return VerdictReport(k, omega, delta, Verdict.NotSelfAdjoint,
-                         reports, lines, divergent, trace)
+                         reports, tuple(critical_lines(k)), trace)

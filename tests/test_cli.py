@@ -351,8 +351,8 @@ class TestJcExact:
         assert "k=400, n=400;" in err
 
     @pytest.mark.parametrize("omega, delta, n_max, what", [
-        # w*(n+k) - d overflows at n = 0
-        ("1e308", "1e308", "3", "diagonal w*(n+k) - d, w*n + d is not a finite double at k=2, n=0;"),
+        # w*n + d overflows at n = 1
+        ("1e308", "1e308", "3", "diagonal w*n -+ d is not a finite double at k=2, n=1;"),
         # every entry is finite, but the block mean (w*(2n+k))/2 overflows at n = 1
         ("5e307", "0", "1", "closed-form eigenvalue is not a finite double at k=2, n=1;"),
     ], ids=["diagonal", "block-mean"])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 import subprocess
 import sys
 from importlib import resources
@@ -21,7 +22,6 @@ from kphoton.fock import (
     build_jck,
     classify_convergence,
     convergence_sweep,
-    jc_blocks,
     jck_exact_spectrum,
     lowest_eigenvalues,
     sweep_csv,
@@ -139,7 +139,7 @@ class TestBuildJck:
 
     def test_coupling_overflow_rejected(self):
         p = ModelParams(400, 0.1, 1.0, 0.0)
-        for build in (lambda: build_jck(p, 500), lambda: jc_blocks(p, 3)):
+        for build in (lambda: build_jck(p, 500), lambda: jck_exact_spectrum(p, 3)):
             with pytest.raises(ValueError, match=r"k=400, n=400\b"):
                 build()
 
@@ -181,11 +181,19 @@ class TestJcExact:
         assert vals == pytest.approx(expect, abs=1e-15)
 
     def test_block_eigenvalue_identity(self):
-        for blk in jc_blocks(ModelParams(3, 0.4, 1.0, 0.2), 6):
-            lo, hi = blk.eigenvalues
-            assert lo + hi == pytest.approx(blk.diag_down + blk.diag_up, rel=1e-14)
-            assert lo * hi == pytest.approx(
-                blk.diag_down * blk.diag_up - blk.offdiag ** 2, rel=1e-12)
+        # raising n_max to n adds block n's pair: its sum and product are the
+        # trace and determinant of build_jck's chain over {|n+k,down>, |n,up>}
+        p = ModelParams(3, 0.4, 1.0, 0.2)
+        blocks = {int(idx[1]) // 2: (diag, off[0])
+                  for idx, diag, off in build_jck(p, 10).chains if len(idx) == 2}
+        below = [p.omega * n - p.delta for n in range(p.k)]
+        for n in range(7):
+            spectrum = jck_exact_spectrum(p, n)
+            lo, hi = sorted((Counter(spectrum) - Counter(below)).elements())
+            (down, up), off = blocks[n]
+            assert lo + hi == pytest.approx(down + up, rel=1e-14)
+            assert lo * hi == pytest.approx(down * up - off ** 2, rel=1e-12)
+            below = spectrum
 
     def test_sorted_and_sized(self):
         vals = jck_exact_spectrum(ModelParams(3, 0.5, 1.0, 0.1), 7)
@@ -373,6 +381,12 @@ class TestClassify:
         assert classify_convergence(sweep, sweep.tol) is Classification.Convergent
         assert classify_convergence(sweep, 1e-6) is Classification.Inconclusive
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        sweep = _synthetic([(-1.01, 0.0), (-1.001, 0.0), (-1.0001, 0.0)])
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            classify_convergence(sweep, tol)
+
     def test_sweep_collapse_factor_is_used(self):
         # the mean spacing shrinks by 5: a collapse only under a factor <= 5
         rows = [(-1.0, -1.0 + s, -1.0 + 2 * s) for s in (1.0, 0.5, 0.2)]
@@ -397,6 +411,14 @@ class TestConvergenceSweep:
             convergence_sweep(p, [50, 100, 100], m=4)
         with pytest.raises(ValueError):
             convergence_sweep(p, [50, 100, 200], m=1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # checked before the sizes, so a bad tol is named even when they are bad too
+        p = ModelParams(3, 0.1, 1.0, 0.0)
+        for sizes in ([100, 200, 400], [100, 200]):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                convergence_sweep(p, sizes, tol=tol)
 
 
 class TestEmitters:

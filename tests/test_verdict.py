@@ -1,6 +1,7 @@
 """Critical lines, normalizability certificates and per-k verdicts."""
 
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,7 +12,6 @@ import pytest
 
 from kphoton.asymptotics import ExponentBranch, QuadraticRoot, RingElem
 from kphoton.verdict import (
-    CriticalLine,
     Verdict,
     _exponent_pipeline,
     _rho_at,
@@ -28,8 +28,7 @@ F = Fraction
 
 
 def _branch(k, m, beta, rho):
-    gamma = RingElem.gamma((2 * m + 1) % k, k, (-1) ** ((2 * m + 1) // k))
-    return ExponentBranch(k=k, gamma_index=m, gamma=gamma, beta=beta, rho=rho)
+    return ExponentBranch(k=k, gamma_index=m, beta=beta, rho=rho)
 
 
 def _rational_rho(v) -> QuadraticRoot:
@@ -38,24 +37,24 @@ def _rational_rho(v) -> QuadraticRoot:
 
 class TestCriticalLines:
     def test_k3_angles(self):
-        got = {ln.theta_over_pi for ln in critical_lines(3)}
-        assert got == {F(1), F(1, 3), F(-1, 3)}
+        assert critical_lines(3) == [F(1, 3), F(1), F(-1, 3)]
 
     def test_k4_angles(self):
-        got = {ln.theta_over_pi for ln in critical_lines(4)}
-        assert got == {F(1, 4), F(-1, 4), F(3, 4), F(-3, 4)}
+        assert critical_lines(4) == [F(1, 4), F(3, 4), F(-3, 4), F(-1, 4)]
 
     def test_k5_distinct(self):
         lines = critical_lines(5)
         assert len(lines) == 5
-        assert len({ln.theta_over_pi for ln in lines}) == 5
+        assert len(set(lines)) == 5
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_count_and_normalization(self, k):
         lines = critical_lines(k)
-        assert len({ln.theta_over_pi for ln in lines}) == k
-        for ln in lines:
-            assert F(-1) < ln.theta_over_pi <= F(1)
+        assert len(set(lines)) == k
+        for m, t in enumerate(lines):
+            assert type(t) is F
+            assert F(-1) < t <= F(1)
+            assert (t - F(2 * m + 1, k)) % 2 == 0
 
     def test_rejects_small_or_non_integer(self):
         for bad in (2, 1, 0, -3, 3.0):
@@ -66,61 +65,60 @@ class TestCriticalLines:
 class TestBetaUnitModulus:
     def test_k3_pipeline_branches_on_own_lines(self):
         _, branches = _exponent_pipeline(3)
-        lines = critical_lines(3)
         assert len(branches) == 6
         for b in branches:
-            assert beta_unit_modulus(b, lines[b.gamma_index])
+            assert beta_unit_modulus(b)
 
     def test_zero_beta_is_unit_modulus(self):
         _, branches = _exponent_pipeline(5)
-        lines = critical_lines(5)
         for b in branches:
             assert b.beta.is_zero()
-            assert beta_unit_modulus(b, lines[b.gamma_index])
+            assert beta_unit_modulus(b)
 
-    def test_synthetic_beta_one_theta_zero_fails(self):
+    def test_synthetic_beta_one_root_zero_fails(self):
+        # beta = g^0 on root g^1: e = 2*0 - 1 = -1, not 3 (mod 6)
         b = _branch(3, 0, RingElem.one(3), _rational_rho(-2))
-        assert not beta_unit_modulus(b, CriticalLine(0, F(0)))
+        assert not beta_unit_modulus(b)
 
     def test_mismatched_line_fails(self):
-        # a k=3 branch checked against a different root's line picks up
-        # a cos(pi/6) factor and the real part survives
+        # a k=3 root-0 beta carried onto root 1 picks up a cos(pi/6) factor
+        # on that root's line and the real part survives
         _, branches = _exponent_pipeline(3)
-        lines = critical_lines(3)
         b = next(br for br in branches if br.gamma_index == 0)
-        assert not beta_unit_modulus(b, lines[1])
+        assert beta_unit_modulus(b)
+        assert not beta_unit_modulus(dataclasses.replace(b, gamma_index=1))
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_pipeline_invariant(self, k):
         _, branches = _exponent_pipeline(k)
-        lines = critical_lines(k)
         for b in branches:
-            assert beta_unit_modulus(b, lines[b.gamma_index])
+            assert beta_unit_modulus(b)
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_every_line_matches_complex_embedding(self, k):
-        # independent float oracle: Re(beta(w=1) e^(-i theta/2)), g = e^(i pi/k)
-        _, branches = _exponent_pipeline(k)
-        for b in branches:
-            beta = sum(float(q.evaluate(1, 0, 0)) * cmath.exp(1j * math.pi * p / k)
-                       for (p, _, _, _), q in b.beta.terms.items())
-            for ln in critical_lines(k):
-                re = (beta * cmath.exp(-0.5j * math.pi * ln.theta_over_pi)).real
-                assert beta_unit_modulus(b, ln) is (abs(re) < 1e-12)
-                assert abs(re) < 1e-12 or abs(re) > 1e-3
+        # independent float oracle, g = e^(i pi/k): every synthetic
+        # beta = q*g^p on every root m against Re(beta e^(-i pi (2m+1)/(2k)))
+        for m in range(k):
+            for p in range(k):
+                for q in (ParamPoly.rational(F(2, 3)), ParamPoly.omega().scale(-1)):
+                    b = _branch(k, m, RingElem({(p, 0, 0, ()): q}, k), _rational_rho(-2))
+                    beta = float(q.evaluate(1, 0, 0)) * cmath.exp(1j * math.pi * p / k)
+                    re = (beta * cmath.exp(-0.5j * math.pi * (2 * m + 1) / k)).real
+                    assert beta_unit_modulus(b) is (abs(re) < 1e-12)
+                    assert abs(re) < 1e-12 or abs(re) > 1e-3
 
     def test_unresolved_beta_rejected(self):
         beta = RingElem({(0, 1, 0, ()): ParamPoly.rational(1)}, 3)   # unresolved b
         b = _branch(3, 0, beta, _rational_rho(-2))
         with pytest.raises(ValueError):
-            beta_unit_modulus(b, critical_lines(3)[0])
+            beta_unit_modulus(b)
 
     def test_two_gamma_powers_rejected(self):
         # the pipeline's beta is always 0 or a single term q*g^p
         beta = RingElem.one(3) + RingElem.gamma(1, 3)
         b = _branch(3, 0, beta, _rational_rho(-2))
         with pytest.raises(ValueError, match="more than one"):
-            beta_unit_modulus(b, critical_lines(3)[0])
+            beta_unit_modulus(b)
 
 
 class TestCertifiedSign:
@@ -247,9 +245,9 @@ class TestVerdict:
         assert rep.verdict is Verdict.NotSelfAdjoint
         assert len(rep.reports) == 6
         assert all(r.re_rho == F(-2) for r in rep.reports)
-        assert rep.symmetry_divergence
         obj = rep.to_json_obj()
         assert [b["rho"] for b in obj["branches"]] == [{"re": "-2"}] * 6
+        assert all(b["symmetry_divergent"] for b in obj["branches"])
         assert obj["critical_lines"] == ["1/3", "1", "-1/3"]
 
     def test_k5_quadratic_parameter_free(self):
