@@ -3,9 +3,9 @@
 import dataclasses
 import json
 import math
-from collections import Counter
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import jsonschema
