@@ -496,6 +496,56 @@ class TestCRecursion:
         assert info.value.reason == "nonzero residual with every c_n already fixed"
         assert info.value.residual == "w^2*g2"
 
+    # sha256 over every rational-rho branch's tail (beta, rho, each c_n and
+    # resonant, or the UnsolvableLevel level, reason and residual) at
+    # k = 3..12, and over the depth-32 level texts 0..32 at k = 3, 6, 9, 12
+    def test_all_rational_tails_and_deep_levels_pinned(self):
+        digest = hashlib.sha256()
+        for k in range(3, 13):
+            depth, n_max = (32, 12) if k % 3 == 0 else (20, 14)
+            levels = levels_for(k, depth)
+            lines = []
+            for i, br in enumerate(solve_levels(levels, k)):
+                if not br.rho.is_rational():
+                    continue
+                head = f"k={k} branch={i} beta={br.beta.text()} rho={br.rho.text()}"
+                try:
+                    ext = c_recursion(br, levels, n_max)
+                except UnsolvableLevel as exc:
+                    lines.append(f"{head} unsolvable level={exc.level} "
+                                 f"reason={exc.reason} residual={exc.residual}")
+                    continue
+                lines.append(f"{head} resonant={ext.resonant}")
+                lines.extend(c.text() for c in ext.c)
+            if k % 3 == 0:
+                lines.extend(lv.text() for lv in levels)
+            digest.update("\n".join(lines).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "5f081d40fc23f21742000c0df58468f531b752bae74f2f962ebba901cd4c5f7e")
+
+    # the tail back-substituted symbolically into every level it consumed
+    # leaves only unknowns past c_n_max (k = 3 fixes c_1 below level 5, so
+    # level 4 + n_max already reaches c_(n_max+1))
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_tail_annihilates_symbolic_levels(self, k):
+        n_max = 12
+        levels = levels_for(k, 20)
+        checked = 0
+        for br in solve_levels(levels, k):
+            if not br.rho.is_rational():
+                continue
+            try:
+                ext = c_recursion(br, levels, n_max)
+            except UnsolvableLevel:
+                continue
+            for lv in levels[:5 + n_max]:
+                residual = ext.residual(lv)
+                assert not residual or min(residual.c_indices(), default=-1) > n_max, \
+                    (k, lv.level, residual.text())
+            checked += 1
+        # k = 4 has only surd-rho branches; k = 6 loses six to its resonance
+        assert checked == {3: 6, 4: 0, 6: 6}.get(k, 2 * k)
+
     def test_n_zero_is_identity(self):
         levels = levels_for(5)
         br = solve_levels(levels, 5)[0]
