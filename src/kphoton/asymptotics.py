@@ -7,11 +7,15 @@ ring Q(w,d,E)[g]/(g^k + 1).  Everything is exact; no floating point.
 
 Only the c_0 series e^(g z^2/2 + b z) z^r is differentiated, and
 differentiating it only multiplies by g, b and r + e, so it holds integers.
-The c_n term is the c_0 term at r - n, so the c_n part of level l is the c_0
-part of level l - n with r shifted to r - n (the Frobenius structure of the
-recurrence).  w, d, E enter when substitute_ansatz applies the operator; every
-coefficient in (w, d, E) is a ParamPoly, integer numerators over one common
-denominator, so the levels and the tail are built in integer arithmetic.
+The c_n term is the c_0 term at r - n, so with L_m(g, b, r) the c_0 part of
+level m, level l is sum_n c_n L_(l-n)(g, b, r - n) (the Frobenius structure
+of the recurrence).  substitute_ansatz keeps only the L_m; a level writes out
+its shifted copies when it is read (the exponent solve and the verdict read
+levels 0..5), and the tail recursion instead evaluates each L_m, with gamma
+and beta substituted, at the rational r = rho - n.  w, d, E enter when
+substitute_ansatz applies the operator; every coefficient in (w, d, E) is a
+ParamPoly, integer numerators over one common denominator, so the levels and
+the tail are built in integer arithmetic.
 
 Symbol conventions in rendered output: g is the Gaussian exponent generator
 (g^k = -1), b the linear exponent, r the power-law exponent, c0..cL the tail
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .weyl import OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate
 
@@ -319,10 +324,29 @@ def _c0_derivatives(max_j: int, depth: int) -> list[list[dict]]:
 _MAX_DEPTH = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelEquation:
+    """Level l: the coefficient of z^(r + 2k - l), sum_n c_n L_(l-n)(g, b, r - n).
+
+    parts is the tuple of D*L_m, m = 0..depth, that all levels of one
+    substitute_ansatz call share, each {(g, b, r): {param exponent: int}} over
+    den = D.  coeff writes out the shifted copies on its first read.
+    """
+
     level: int
-    coeff: RingElem
+    parts: tuple = field(repr=False)
+    den: int
+
+    @cached_property
+    def coeff(self) -> RingElem:
+        """The level as a RingElem: every term carries exactly one c_n."""
+        terms = {}
+        for n in range(self.level + 1):
+            part = self.parts[self.level - n]
+            for (g, b, r), poly in (_shift_r(part, n) if n else part).items():
+                if poly:
+                    terms[g, b, r, (n,)] = ParamPoly.over(poly, self.den)
+        return RingElem._wrap(terms)
 
     def text(self) -> str:
         return self.coeff.text()
@@ -343,18 +367,19 @@ def _shift_r(part: dict, n: int) -> dict:
 
 
 def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEquation]:
-    """Collect levels 0..depth: level l is the coefficient of z^(r + 2k - l).
+    """Levels 0..depth: level l is the coefficient of z^(r + 2k - l).
 
     The c_0..c_depth stay symbolic; gamma is a free symbol here (the quotient
     relation is imposed by solve_levels, so level 0 shows the (g^k+1)^2
     factor explicitly).
 
-    Only the c_0 series is differentiated.  With L_m(g, b, r) the c_0 part
-    of level m, c_n z^(r - n) is the c_0 term at r - n, so the c_n part of
-    level l is L_(l-n)(g, b, r - n).  The L_m are integer polynomials over
-    the lcm D of the operator's coefficient denominators (D = 1 for
-    build_reduced_operator); each level coefficient goes to ParamPoly as
-    those integers over D, with no Fraction built per term.
+    Only the c_0 series is differentiated, and only the c_0 parts L_m(g, b, r)
+    of levels 0..depth are built: c_n z^(r - n) is the c_0 term at r - n, so
+    the c_n part of level l is L_(l-n)(g, b, r - n), which each LevelEquation
+    derives from the L_m when its coeff is read.  The L_m are integer
+    polynomials over the lcm D of the operator's coefficient denominators
+    (D = 1 for build_reduced_operator), and every returned level shares the
+    one tuple of them.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
@@ -369,7 +394,7 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
     den = math.lcm(*(p.den for p in A.terms.values()))
     num = {ij: {e: c * (den // p.den) for e, c in p.num.items()} for ij, p in A.terms.items()}
     slots = _c0_derivatives(max((j for _, j in A.terms), default=0), depth)
-    levels = [{} for _ in range(depth + 1)]
+    parts = []
     for m in range(depth + 1):
         # part = D * L_m as {(g, b, r): {param exponent: int}}; z^i Dz^j puts
         # slot s at z^(r + i + j - s), so level m reads slot m - (2k - i - j)
@@ -382,12 +407,9 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
                 slot = part.setdefault(key, {})
                 for e, c in p.items():
                     accumulate(slot, e, c * q)
-        for n in range(depth + 1 - m):
-            cn, out = (n,), levels[m + n]
-            for (g, b, r), poly in (_shift_r(part, n) if n else part).items():
-                if poly:
-                    out[g, b, r, cn] = ParamPoly.over(poly, den)
-    return [LevelEquation(l, RingElem._wrap(terms)) for l, terms in enumerate(levels)]
+        parts.append(part)
+    parts = tuple(parts)
+    return [LevelEquation(l, parts, den) for l in range(depth + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +777,12 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
                 n_max: int) -> ExponentBranch:
     """Extend the tail to c_1..c_n_max by consuming levels past the exponents.
 
-    Requires a surd-free rho (the k=4 branches with sqrt(16-w^2) are refused:
-    the tail would leave the rational quotient ring).
+    Level l is sum_n c_n L_(l-n)(g, b, r - n), so no shifted level is written
+    out: each c_0 part L_m takes gamma and beta once, in the quotient ring, and
+    is evaluated at r = rho - n.  Known c_n go in as values and unknown ones
+    stay symbolic, so _advance sees branch.residual(levels[l]).  Requires a
+    surd-free rho (the k=4 branches with sqrt(16-w^2) are refused: the tail
+    would leave the rational quotient ring).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -765,12 +791,23 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     if not branch.rho.is_rational():
         raise ValueError("tail recursion needs a rational rho branch; "
                          f"got {branch.rho.text()}")
-    for lv in levels[5:]:
+    k, rho = branch.k, branch.rho.rational_value()
+    parts, den = levels[0].parts, levels[0].den
+    L: list[RingElem] = []     # L[m]: L_m(gamma, beta, r), built as levels reach m
+    for l in range(5, len(levels)):
         if len(branch.c) > n_max:
             break
-        eq = branch.residual(lv)
+        while len(L) <= l:
+            Lm = RingElem({(g, b, r, ()): ParamPoly.over(poly, den)
+                           for (g, b, r), poly in parts[len(L)].items() if poly}, k)
+            L.append(Lm.subs("g", branch.gamma).subs("b", branch.beta))
+        eq = RingElem.zero(k)
+        for n in range(l + 1):
+            cn = branch.c[n] if n < len(branch.c) else RingElem({(0, 0, 0, (n,)): P_ONE}, k)
+            if cn:
+                eq = eq + cn * L[l - n].subs("r", rho - ParamPoly.rational(n))
         if eq:
-            (branch,) = _advance(branch, eq, lv.level, n_max)
+            (branch,) = _advance(branch, eq, l, n_max)
     if len(branch.c) <= n_max:
         raise ValueError(
             "levels exhausted before reaching n_max (a trailing resonant "
