@@ -8,8 +8,8 @@ rational strings like 7/2 and refuse decimal input; the numeric subcommands
 validation, 3 solver failure (the message carries the residual/diagnostic).
 
 The exact subcommands never load numpy or scipy; sweep and jc-exact import
-kphoton.fock, and with it numpy and scipy, on first use, after the BLAS
-thread count below is set.
+kphoton.fock, and with it numpy, on first use, after the BLAS thread count
+below is set.  scipy loads only for sweep's eigensolves.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .verdict import _exponent_pipeline, verdict as run_verdict
 from .weyl import a_coeff, build_reduced_operator
 
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
-# sweep bisects tridiagonal chains.  numpy and scipy load only on the numeric
-# paths (sweep, jc-exact), and this must be set before they do: each OpenBLAS
-# they load otherwise starts cpu_count - 1 workers that busy-wait after
-# start-up and take CPU from the main thread.
+# sweep bisects tridiagonal chains.  numpy loads only on the numeric paths
+# (sweep, jc-exact) and scipy only on sweep, and this must be set before they
+# do: each OpenBLAS they load otherwise starts cpu_count - 1 workers that
+# busy-wait after start-up and take CPU from the main thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -145,24 +144,25 @@ def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
     diagonalized as (d0 + d1)/2 -+ hypot((d0 - d1)/2, off), plus the k
     uncoupled spin-down levels w*n - d below the first block.
 
-    build_jck(params, n_max + k + 1) holds exactly those blocks; its spin-up
-    singletons n > n_max lost their partner to the truncation and are left out.
+    The block n couples |n+k,down> and |n,up>, so d0, d1 and off are read off
+    the same _chain_entries(params, n_max + k + 1) rows that build_jck uses;
+    its spin-up singletons n > n_max lost their partner to the truncation and
+    are left out.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    k = params.k
+    diag, w = _chain_entries(params, n_max + k + 1)
+    # Python floats: an overflowing mean becomes inf without a warning
     levels = []
-    for idx, diag, off in build_jck(params, n_max + params.k + 1).chains:
-        n = int(idx[-1]) // 2
-        if len(diag) == 2:
-            # Python floats: an overflowing mean becomes inf without a warning
-            d0, d1 = float(diag[0]), float(diag[1])
-            mean, r = (d0 + d1) / 2, math.hypot((d0 - d1) / 2, float(off[0]))
-            levels += [(n, mean - r), (n, mean + r)]
-        elif idx[0] % 2 == 0:
-            levels.append((n, float(diag[0])))
+    for n, (d0, d1, off) in enumerate(zip(diag[k:, 0].tolist(), diag[:, 1].tolist(),
+                                          w.tolist())):
+        mean, r = (d0 + d1) / 2, math.hypot((d0 - d1) / 2, off)
+        levels += [(n, mean - r), (n, mean + r)]
+    levels += enumerate(diag[:k, 0].tolist())
     for n, e in levels:
         if not math.isfinite(e):
-            raise _not_finite("closed-form eigenvalue", params.k, n)
+            raise _not_finite("closed-form eigenvalue", k, n)
     return sorted(e for _, e in levels)
 
 
@@ -174,6 +174,8 @@ _BISECTION_TOL = 2 * np.finfo(float).tiny
 def lowest_eigenvalues(M: ChainMatrix, m: int) -> list[float]:
     """The m algebraically smallest eigenvalues, ascending: the lowest m of
     every chain, merged."""
+    from scipy.linalg import eigvalsh_tridiagonal   # only the eigensolves load scipy
+
     if not 1 <= m <= M.dim:
         raise ValueError(f"need 1 <= m <= {M.dim}, got {m}")
     parts = []
