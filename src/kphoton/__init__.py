@@ -53,7 +53,7 @@ __all__ = [
     "LevelEquation", "ModelParams", "NormalizabilityReport", "OperatorPoly",
     "OutOfScope", "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
     "UnsolvableLevel", "Verdict", "VerdictReport", "a_coeff",
-    "assemble_final_quadratic", "beta_unit_modulus", "build_hkp", "build_jck",
+    "assemble_final_quadratic", "beta_unit_modulus", "build_hkp",
     "build_reduced_operator", "c_recursion", "classify_convergence",
     "convergence_sweep", "critical_lines", "crho_closed", "gf_coefficient",
     "jck_exact_spectrum", "lowest_eigenvalues", "normalizability",

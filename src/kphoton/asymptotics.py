@@ -118,9 +118,6 @@ class RingElem:
         return (isinstance(other, RingElem) and self.modulus == other.modulus
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.modulus, frozenset((k, hash(v)) for k, v in self.terms.items())))
-
     def _check(self, other: "RingElem"):
         if self.modulus != other.modulus:
             raise ValueError("mixed ring moduli")
@@ -160,9 +157,6 @@ class RingElem:
             accumulate(out, k, p)
         return RingElem._wrap(out, self.modulus)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other: "RingElem"):
         self._check(other)
         out = {}
@@ -171,14 +165,6 @@ class RingElem:
                 key = (g1 + g2, b1 + b2, r1 + r2, tuple(sorted(c1 + c2)))
                 accumulate(out, key, p1 * p2)
         return RingElem(out, self.modulus)
-
-    def scale(self, q) -> "RingElem":
-        """Multiply every term by q: a ParamPoly, int or Fraction."""
-        if not isinstance(q, ParamPoly):
-            q = ParamPoly.rational(q)
-        if not q:
-            return RingElem.zero(self.modulus)
-        return RingElem._wrap({k: p * q for k, p in self.terms.items()}, self.modulus)
 
     def reduce(self, k: int) -> "RingElem":
         """Impose g^k = -1 (enter the quotient ring)."""
@@ -519,13 +505,6 @@ class QuadraticRoot:
     def from_rational(cls, r: ParamPoly) -> "QuadraticRoot":
         return cls(r, P_ZERO, P_ZERO, -(r + r), r * r)
 
-    def verify(self) -> bool:
-        """Exact back-substitution into the stored monic quadratic."""
-        plain = (self.rational * self.rational + self.surd * self.surd * self.disc
-                 + self.monic_b * self.rational + self.monic_c)
-        mixed = (self.rational.scale(2) + self.monic_b) * self.surd
-        return plain.is_zero() and mixed.is_zero()
-
     def is_rational(self) -> bool:
         return self.surd.is_zero()
 
@@ -616,9 +595,6 @@ class ExponentBranch:
     def residual(self, level: LevelEquation) -> RingElem:
         """The level in the quotient ring with every known value substituted."""
         return self.substitute(level.coeff.reduce(self.k))
-
-    def annihilates(self, level: LevelEquation) -> bool:
-        return not self.residual(level)
 
 
 def gamma_root_elements(k: int) -> list[RingElem]:

@@ -1,13 +1,13 @@
 """Truncated Fock-space numerics for k-photon couplings.
 
-Finite N-state truncations of H = w a'a + g(a^k + a'^k) sx + d sz and of its
-number-conserving counterpart H_JC = w a'a + g(a^k s+ + a'^k s-) + d sz, in
-the interleaved basis |n, spin> -> index 2n + s (s = 0 down, s = 1 up).
-The JC model block-diagonalizes exactly and serves as the trusted oracle;
-the sx-coupled model is the object under study, where truncated spectra can
-look plausible while failing to converge.
+Finite N-state truncations of H = w a'a + g(a^k + a'^k) sx + d sz, in the
+interleaved basis |n, spin> -> index 2n + s (s = 0 down, s = 1 up), and the
+closed-form spectrum of its number-conserving counterpart
+H_JC = w a'a + g(a^k s+ + a'^k s-) + d sz, which block-diagonalizes exactly
+into 2x2 blocks.  The sx-coupled model is the object under study, where
+truncated spectra can look plausible while failing to converge.
 
-Both truncations split exactly into symmetric tridiagonal chains (see
+Its truncation splits exactly into symmetric tridiagonal chains (see
 build_hkp); eigensolves bisect each chain with LAPACK's stebz, at O(N) per
 eigenvalue.  All classification thresholds are artifact choices (flagged in
 the emitted summaries), not derived quantities.
@@ -49,8 +49,7 @@ class ChainMatrix:
 
     Each chain is (index, diag, off): its basis indices 2n+s in chain order,
     its diagonal, and off[j] coupling index[j] to index[j+1].  The chains
-    partition range(dim); every other entry is zero, and to_dense() writes
-    each coupling into both triangles, so its symmetry is exact.
+    partition range(dim); every other entry is zero.
     """
 
     __slots__ = ("dim", "chains")
@@ -62,14 +61,6 @@ class ChainMatrix:
         cover = np.bincount(np.concatenate([c[0] for c in self.chains]), minlength=dim)
         if len(cover) != dim or np.any(cover != 1):
             raise ValueError(f"chains must partition range({dim})")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for idx, diag, off in self.chains:
-            out[idx, idx] = diag
-            out[idx[:-1], idx[1:]] = off
-            out[idx[1:], idx[:-1]] = off
-        return out
 
 
 def _not_finite(what: str, k: int, n) -> ValueError:
@@ -127,27 +118,15 @@ def build_hkp(params: ModelParams, N: int) -> ChainMatrix:
     return ChainMatrix(2 * N, chains)
 
 
-def build_jck(params: ModelParams, N: int) -> ChainMatrix:
-    """Truncated number-conserving counterpart: couples |n+k,down> <-> |n,up>
-    only, so its chains are those 2x2 blocks and 1x1 chains for the rest."""
-    k = params.k
-    diag, w = _chain_entries(params, N)
-    chains = [((2 * (n + k), 2 * n + 1), (diag[n + k, 0], diag[n, 1]), w[n:n + 1])
-              for n in range(N - k)]
-    chains += [((2 * n,), diag[n, :1], ()) for n in range(k)]
-    chains += [((2 * n + 1,), diag[n, 1:], ()) for n in range(N - k, N)]
-    return ChainMatrix(2 * N, chains)
-
-
 def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
-    """Closed-form spectrum: the 2x2 chains of build_jck for n <= n_max, each
+    """Closed-form spectrum: the 2x2 blocks of H_JC for n <= n_max, each
     diagonalized as (d0 + d1)/2 -+ hypot((d0 - d1)/2, off), plus the k
     uncoupled spin-down levels w*n - d below the first block.
 
     The block n couples |n+k,down> and |n,up>, so d0, d1 and off are read off
-    the same _chain_entries(params, n_max + k + 1) rows that build_jck uses;
-    its spin-up singletons n > n_max lost their partner to the truncation and
-    are left out.
+    the _chain_entries(params, n_max + k + 1) rows.  tests/oracles.py's
+    build_jck truncates H_JC from the same rows; its spin-up singletons
+    n > n_max lost their partner to the truncation and are left out here.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -207,7 +186,6 @@ class SpectrumSweep:
     eigenvalues: tuple[tuple[float, ...], ...]   # per N, ascending, length m
     classification: Classification
     tol: float
-    collapse_factor: float
 
 
 # the spacing shrink that reads as a collapse; an artifact choice like tol
@@ -235,7 +213,7 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
         if not all(math.isfinite(v) for v in row):
             raise RuntimeError("non-finite eigenvalue in sweep")
     sweep = SpectrumSweep(params, tuple(sizes), tuple(rows),
-                          Classification.Inconclusive, tol, _COLLAPSE_FACTOR)
+                          Classification.Inconclusive, tol)
     return replace(sweep, classification=classify_convergence(sweep))
 
 
@@ -243,7 +221,7 @@ def classify_convergence(sweep: SpectrumSweep,
                          tol: float | None = None) -> Classification:
     """Operational reading of the truncation behavior.
 
-    Collapse: mean spacing of the m lowest shrinks by >= sweep.collapse_factor
+    Collapse: mean spacing of the m lowest shrinks by >= _COLLAPSE_FACTOR
     while E_min itself stays put (drift bounded by max(1, |E_min|)); checked
     first because accumulation above a stable bottom would otherwise pass
     the gap test below.
@@ -262,7 +240,7 @@ def classify_convergence(sweep: SpectrumSweep,
     e = [row[0] for row in sweep.eigenvalues]
     spread = [(row[-1] - row[0]) / (len(row) - 1) for row in sweep.eigenvalues]
     slow_drift = abs(e[-1] - e[0]) <= max(1.0, abs(e[0]))
-    if spread[0] > 0 and spread[-1] * sweep.collapse_factor <= spread[0] and slow_drift:
+    if spread[0] > 0 and spread[-1] * _COLLAPSE_FACTOR <= spread[0] and slow_drift:
         return Classification.Collapse
     floor = 1e-12 * max(1.0, abs(e[0]))      # LAPACK noise snap
     gaps = [abs(b - a) for a, b in zip(e, e[1:])]
@@ -301,6 +279,6 @@ def sweep_summary(sweep: SpectrumSweep) -> dict:
         "classification": sweep.classification.value,
         "E_min_series": [row[0] for row in sweep.eigenvalues],
         "thresholds": {"tol": sweep.tol,
-                       "collapse_factor": sweep.collapse_factor,
+                       "collapse_factor": _COLLAPSE_FACTOR,
                        "artifact_choice": True},
     }

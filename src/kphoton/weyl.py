@@ -214,29 +214,8 @@ class OperatorPoly:
     def __init__(self, terms: dict[tuple[int, int], ParamPoly] | None = None):
         self.terms = {ij: p for ij, p in (terms or {}).items() if p}
 
-    @classmethod
-    def single(cls, i: int, j: int, coeff: ParamPoly | None = None) -> "OperatorPoly":
-        if i < 0 or j < 0:
-            raise ValueError("operator powers must be nonnegative")
-        return cls({(i, j): P_ONE if coeff is None else coeff})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorPoly) and self.terms == other.terms
-
-    def __neg__(self) -> "OperatorPoly":
-        return OperatorPoly({ij: -p for ij, p in self.terms.items()})
-
-    def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
-        out = dict(self.terms)
-        for ij, p in other.terms.items():
-            accumulate(out, ij, p)
-        return OperatorPoly(out)
-
-    def __sub__(self, other: "OperatorPoly") -> "OperatorPoly":
-        return self + (-other)
-
-    def scale(self, p: ParamPoly) -> "OperatorPoly":
-        return OperatorPoly({ij: q * p for ij, q in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -13,6 +13,12 @@ another way, kept here so that the package ships only what its commands run:
   asymptotics.gf_coefficient and asymptotics.crho_closed.
 - displaced_oscillator_oracle: the exact k = 1, delta = 0 spectrum, the check
   on fock.build_hkp and fock.lowest_eigenvalues.
+- build_jck: the truncated number-conserving matrix, whose exact census
+  checks fock.jck_exact_spectrum and fock.lowest_eigenvalues; dense writes
+  out any fock.ChainMatrix for dense eigh and entry checks.
+- op_sum, scale (of a quotient-ring element) and satisfies_quadratic: the
+  builders of expected operators and ring elements, and the exact
+  back-substitution of an asymptotics.QuadraticRoot into its quadratic.
 
 Tests import them as ``from oracles import ...``: pytest puts this directory
 on sys.path because it holds test modules and no __init__.py.
@@ -23,7 +29,34 @@ from __future__ import annotations
 import math
 from functools import cache
 
+import numpy as np
+
+from kphoton.asymptotics import QuadraticRoot, RingElem
+from kphoton.fock import ChainMatrix, ModelParams, _chain_entries
 from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
+
+
+def op_sum(*ops: OperatorPoly) -> OperatorPoly:
+    """The sum of the operators, term by term."""
+    out: dict[tuple[int, int], ParamPoly] = {}
+    for a in ops:
+        for ij, p in a.terms.items():
+            accumulate(out, ij, p)
+    return OperatorPoly(out)
+
+
+def scale(x: RingElem, q) -> RingElem:
+    """x times q, a ParamPoly, int or Fraction (a float raises TypeError)."""
+    q = q if isinstance(q, ParamPoly) else ParamPoly.rational(q)
+    return RingElem({key: p * q for key, p in x.terms.items()}, x.modulus)
+
+
+def satisfies_quadratic(root: QuadraticRoot) -> bool:
+    """Exact back-substitution into the root's stored monic quadratic."""
+    plain = (root.rational * root.rational + root.surd * root.surd * root.disc
+             + root.monic_b * root.rational + root.monic_c)
+    mixed = (root.rational.scale(2) + root.monic_b) * root.surd
+    return plain.is_zero() and mixed.is_zero()
 
 
 @cache
@@ -110,6 +143,28 @@ def leibniz_hermite_table(m: int) -> dict[tuple[int, int, int], int]:
             for p, s in enumerate(fall):
                 accumulate(table, (j - i, p, 2 * j - 2 * i - m), hermite * s)
     return table
+
+
+def build_jck(params: ModelParams, N: int) -> ChainMatrix:
+    """Truncated number-conserving counterpart: couples |n+k,down> <-> |n,up>
+    only, so its chains are those 2x2 blocks and 1x1 chains for the rest."""
+    k = params.k
+    diag, w = _chain_entries(params, N)
+    chains = [((2 * (n + k), 2 * n + 1), (diag[n + k, 0], diag[n, 1]), w[n:n + 1])
+              for n in range(N - k)]
+    chains += [((2 * n,), diag[n, :1], ()) for n in range(k)]
+    chains += [((2 * n + 1,), diag[n, 1:], ()) for n in range(N - k, N)]
+    return ChainMatrix(2 * N, chains)
+
+
+def dense(M: ChainMatrix) -> np.ndarray:
+    """M written out; each coupling goes into both triangles, so it is exactly symmetric."""
+    out = np.zeros((M.dim, M.dim))
+    for idx, diag, off in M.chains:
+        out[idx, idx] = diag
+        out[idx[:-1], idx[1:]] = off
+        out[idx[1:], idx[:-1]] = off
+    return out
 
 
 def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:

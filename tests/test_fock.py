@@ -1,6 +1,5 @@
 """Truncated-matrix builds, exact oracles, convergence classification."""
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -13,13 +12,13 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from kphoton import fock
 from kphoton.fock import (
     ChainMatrix,
     Classification,
     ModelParams,
     SpectrumSweep,
     build_hkp,
-    build_jck,
     classify_convergence,
     convergence_sweep,
     jck_exact_spectrum,
@@ -27,7 +26,7 @@ from kphoton.fock import (
     sweep_csv,
     sweep_summary,
 )
-from oracles import displaced_oscillator_oracle
+from oracles import build_jck, dense, displaced_oscillator_oracle
 
 
 class TestModelParams:
@@ -67,25 +66,25 @@ def _dense_hkp(p, N):
 class TestBuildHkp:
     def test_free_field_diagonal(self):
         p = ModelParams(1, 0, 1.0, 0)
-        dense = build_hkp(p, 4).to_dense()
-        assert np.array_equal(dense, np.diag([0, 0, 1, 1, 2, 2, 3, 3]))
+        H = dense(build_hkp(p, 4))
+        assert np.array_equal(H, np.diag([0, 0, 1, 1, 2, 2, 3, 3]))
 
     def test_k2_matrix_element(self):
         # <0,down| H |2,up> = g*sqrt(2!/0!)
         p = ModelParams(2, 0.7, 1.0, 0.3)
         m = build_hkp(p, 3)
-        assert m.to_dense()[0, 5] == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
-        assert m.to_dense()[1, 4] == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
+        assert dense(m)[0, 5] == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
+        assert dense(m)[1, 4] == pytest.approx(0.7 * math.sqrt(2), rel=1e-15)
 
     def test_diagonal_splitting(self):
         p = ModelParams(3, 0.2, 2.0, 0.5)
         m = build_hkp(p, 5)
-        assert m.to_dense()[4, 4] == 2.0 * 2 - 0.5    # |2,down>
-        assert m.to_dense()[5, 5] == 2.0 * 2 + 0.5    # |2,up>
+        assert dense(m)[4, 4] == 2.0 * 2 - 0.5    # |2,down>
+        assert dense(m)[5, 5] == 2.0 * 2 + 0.5    # |2,up>
 
     def test_exactly_symmetric(self):
-        dense = build_hkp(ModelParams(3, 0.9, 1.0, 0.4), 30).to_dense()
-        assert np.max(np.abs(dense - dense.T)) == 0.0
+        H = dense(build_hkp(ModelParams(3, 0.9, 1.0, 0.4), 30))
+        assert np.max(np.abs(H - H.T)) == 0.0
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_chains_are_T_eigenspaces(self, k):
@@ -109,7 +108,7 @@ class TestBuildHkp:
         for g in (0.0, 0.05, 0.3, 1.0):
             for N in (k + 1, 2 * k + 3, 60):
                 p = ModelParams(k, g, 1.3, 0.4)
-                assert np.array_equal(build_hkp(p, N).to_dense(), _dense_hkp(p, N))
+                assert np.array_equal(dense(build_hkp(p, N)), _dense_hkp(p, N))
 
     def test_coupling_overflow_rejected(self):
         # g*sqrt(n!/(n-k)!) leaves the doubles at k=400 already for n=k
@@ -134,8 +133,8 @@ class TestBuildHkp:
 
 class TestBuildJck:
     def test_g_zero_is_diagonal(self):
-        dense = build_jck(ModelParams(2, 0, 1.0, 0.3), 4).to_dense()
-        assert np.array_equal(dense, np.diag(np.diag(dense)))
+        H = dense(build_jck(ModelParams(2, 0, 1.0, 0.3), 4))
+        assert np.array_equal(H, np.diag(np.diag(H)))
 
     def test_coupling_overflow_rejected(self):
         p = ModelParams(400, 0.1, 1.0, 0.0)
@@ -146,11 +145,11 @@ class TestBuildJck:
     def test_block_entries(self):
         # n=0 block at k=2: states |2,down>, |0,up>; diag (2, 0), off 0.1*sqrt(2)
         m = build_jck(ModelParams(2, 0.1, 1.0, 0), 5)
-        assert m.to_dense()[4, 4] == 2.0
-        assert m.to_dense()[1, 1] == 0.0
-        assert m.to_dense()[1, 4] == pytest.approx(0.1 * math.sqrt(2), rel=1e-15)
+        assert dense(m)[4, 4] == 2.0
+        assert dense(m)[1, 1] == 0.0
+        assert dense(m)[1, 4] == pytest.approx(0.1 * math.sqrt(2), rel=1e-15)
         # spin-down coupling of the sx model is absent here
-        assert m.to_dense()[0, 5] == 0.0
+        assert dense(m)[0, 5] == 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_census_is_exact(self, k):
@@ -210,7 +209,7 @@ class TestLowestEigenvalues:
         m = ChainMatrix(2, [((1, 0), (2.0, 0.0), (0.5,))])
         r = math.hypot(1.0, 0.5)
         assert lowest_eigenvalues(m, 2) == pytest.approx([1 - r, 1 + r], rel=1e-14)
-        assert m.to_dense()[0, 1] == m.to_dense()[1, 0] == 0.5
+        assert dense(m)[0, 1] == dense(m)[1, 0] == 0.5
 
     def test_against_dense_reference(self):
         # random chains over a shuffled basis, merged across chain boundaries
@@ -220,9 +219,9 @@ class TestLowestEigenvalues:
         chains = [(idx, rng.standard_normal(len(idx)), rng.standard_normal(len(idx) - 1))
                   for idx in np.split(rng.permutation(dim), cuts)]
         m = ChainMatrix(dim, chains)
-        dense = m.to_dense()
-        assert np.max(np.abs(dense - dense.T)) == 0.0
-        dense_vals = eigh(dense, eigvals_only=True)
+        H = dense(m)
+        assert np.max(np.abs(H - H.T)) == 0.0
+        dense_vals = eigh(H, eigvals_only=True)
         got = lowest_eigenvalues(m, 12)
         scale = max(1.0, float(np.max(np.abs(dense_vals))))
         assert np.allclose(got, dense_vals[:12], rtol=1e-10, atol=1e-10 * scale)
@@ -242,17 +241,17 @@ class TestLowestEigenvalues:
 
 
 class TestChainsAgainstDense:
-    """Every eigenvalue of the chain solve against dense eigh of to_dense()."""
+    """Every eigenvalue of the chain solve against dense eigh of the written-out matrix."""
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_full_spectrum(self, k):
         for g in (0.0, 0.05, 0.3, 1.0):
             for N in (k + 1, k + 2, 2 * k + 3, 31, 60):
                 m = build_hkp(ModelParams(k, g, 1.0, 0.3), N)
-                dense = eigh(m.to_dense(), eigvals_only=True)
-                norm = float(np.max(np.abs(dense)))
+                dense_vals = eigh(dense(m), eigvals_only=True)
+                norm = float(np.max(np.abs(dense_vals)))
                 got = lowest_eigenvalues(m, 2 * N)
-                assert np.max(np.abs(np.array(got) - dense)) <= 64 * np.finfo(float).eps * norm
+                assert np.max(np.abs(np.array(got) - dense_vals)) <= 64 * np.finfo(float).eps * norm
 
 
 def _sturm_count(chains, x):
@@ -343,7 +342,7 @@ def _synthetic(rows, tol=1e-6):
     return SpectrumSweep(ModelParams(1, 1, 1, 0),
                          tuple(range(10, 10 + 10 * len(rows), 10)),
                          tuple(tuple(r) for r in rows),
-                         Classification.Inconclusive, tol, 10.0)
+                         Classification.Inconclusive, tol)
 
 
 class TestClassify:
@@ -387,13 +386,13 @@ class TestClassify:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             classify_convergence(sweep, tol)
 
-    def test_sweep_collapse_factor_is_used(self):
+    def test_sweep_collapse_factor_is_used(self, monkeypatch):
         # the mean spacing shrinks by 5: a collapse only under a factor <= 5
         rows = [(-1.0, -1.0 + s, -1.0 + 2 * s) for s in (1.0, 0.5, 0.2)]
         sweep = _synthetic(rows)
         assert classify_convergence(sweep) is not Classification.Collapse
-        narrow = dataclasses.replace(sweep, collapse_factor=5.0)
-        assert classify_convergence(narrow) is Classification.Collapse
+        monkeypatch.setattr(fock, "_COLLAPSE_FACTOR", 5.0)
+        assert classify_convergence(sweep) is Classification.Collapse
 
 
 class TestConvergenceSweep:
