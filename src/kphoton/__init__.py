@@ -49,9 +49,9 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ChainMatrix", "Classification", "DivisionByNonUnit", "ExponentBranch",
-    "LevelEquation", "ModelParams", "NormalizabilityReport", "OperatorPoly",
-    "OutOfScope", "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
+    "Classification", "DivisionByNonUnit", "ExponentBranch", "LevelEquation",
+    "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
+    "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
     "UnsolvableLevel", "Verdict", "VerdictReport", "a_coeff",
     "assemble_final_quadratic", "beta_unit_modulus", "build_hkp",
     "build_reduced_operator", "c_recursion", "classify_convergence",

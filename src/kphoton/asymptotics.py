@@ -552,9 +552,10 @@ class ExponentBranch:
     beta: RingElem | None
     rho: QuadraticRoot | None
     c: tuple[RingElem, ...] = field(default=())   # c_0 = 1 normalization
-    beta_index: int = 0
     rho_index: int = 0
     resonant: tuple[int, ...] = ()
+
+    __hash__ = None     # RingElem and QuadraticRoot are unhashable
 
     @property
     def gamma_power(self) -> int:
@@ -676,8 +677,7 @@ def _advance(branch: ExponentBranch, eq: RingElem, level: int,
     if branch.beta is None:
         if not eq.max_b():
             raise UnsolvableLevel(level, eq.text(), "nonzero level before b was determined")
-        return [replace(branch, beta=b, beta_index=i)
-                for i, b in enumerate(_solve_beta(eq, level))]
+        return [replace(branch, beta=b) for b in _solve_beta(eq, level)]
     if branch.rho is None:
         if not eq.max_r():
             raise UnsolvableLevel(level, eq.text(), "nonzero level before r was determined")
@@ -731,7 +731,7 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
             nxt.extend(_advance(br, eq, lv.level, 4) if eq else [br])
         partial = nxt
 
-    # root-major, and _advance keeps (beta_index, rho_index) order
+    # root-major, and _advance keeps the beta and rho roots in solve order
     branches = [replace(br, gamma_index=m, beta=br.beta.subs("g", groot),
                         c=tuple(ci.subs("g", groot) for ci in br.c))
                 for m, groot in enumerate(gamma_root_elements(k)) for br in partial]

@@ -161,8 +161,7 @@ def _cmd_exponents(ns) -> str:
 
 
 def _cmd_verdict(ns) -> str:
-    if ns.k != 1 and ns.k != 2:
-        _check_k(ns.k, 3, 12, "verdict")
+    _check_k(ns.k, 1, 12, "verdict")
     rep = run_verdict(ns.k, ns.omega, ns.delta)
     if ns.trace:
         _write_atomic(ns.trace, rep.trace_json() + "\n")

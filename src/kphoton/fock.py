@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +42,6 @@ class ModelParams:
             raise ValueError("coupling g must be nonnegative")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-
-
-class ChainMatrix:
-    """Symmetric matrix stored as a direct sum of tridiagonal chains.
-
-    Each chain is (index, diag, off): its basis indices 2n+s in chain order,
-    its diagonal, and off[j] coupling index[j] to index[j+1].  The chains
-    partition range(dim); every other entry is zero.
-    """
-
-    __slots__ = ("dim", "chains")
-
-    def __init__(self, dim: int, chains):
-        self.dim = dim
-        self.chains = tuple((np.asarray(i, dtype=np.intp), np.asarray(d, dtype=float),
-                             np.asarray(e, dtype=float)) for i, d, e in chains)
-        cover = np.bincount(np.concatenate([c[0] for c in self.chains]), minlength=dim)
-        if len(cover) != dim or np.any(cover != 1):
-            raise ValueError(f"chains must partition range({dim})")
 
 
 def _not_finite(what: str, k: int, n) -> ValueError:
@@ -98,14 +79,16 @@ def _chain_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]
     return diag, _couplings(params, n[k:])
 
 
-def build_hkp(params: ModelParams, N: int) -> ChainMatrix:
+def build_hkp(params: ModelParams, N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Truncate the sx-coupled model to the first N Fock states (dim 2N).
 
     Diagonal: w*n - d on |n,down>, w*n + d on |n,up>.  The coupling flips
     spin and moves k photons: <n-k, 1-s| H |n, s> = g*sqrt(n!/(n-k)!).
     H commutes with T = exp(i pi a'a/k) sz, and T^(2k) = 1, so the
     truncation splits exactly into the 2k chains
-    {|r + jk, s xor (j mod 2)> : j >= 0} for r < k, s in {0, 1}.
+    {|r + jk, s xor (j mod 2)> : j >= 0} for r < k, s in {0, 1}, returned
+    in (r, s) order as (index, diag, off): the basis indices 2n+s in chain
+    order, the diagonal, and off[j] coupling index[j] to index[j+1].
     """
     k = params.k
     diag, w = _chain_entries(params, N)
@@ -115,7 +98,7 @@ def build_hkp(params: ModelParams, N: int) -> ChainMatrix:
         for s in (0, 1):
             spin = (s + np.arange(len(n))) % 2
             chains.append((2 * n + spin, diag[n, spin], w[n[1:] - k]))
-    return ChainMatrix(2 * N, chains)
+    return chains
 
 
 def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
@@ -150,15 +133,16 @@ def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
 _BISECTION_TOL = 2 * np.finfo(float).tiny
 
 
-def lowest_eigenvalues(M: ChainMatrix, m: int) -> list[float]:
-    """The m algebraically smallest eigenvalues, ascending: the lowest m of
-    every chain, merged."""
+def lowest_eigenvalues(chains, m: int) -> list[float]:
+    """The m algebraically smallest eigenvalues, ascending, of the direct sum
+    of (index, diag, off) chains: the lowest m of every chain, merged."""
     from scipy.linalg import eigvalsh_tridiagonal   # only the eigensolves load scipy
 
-    if not 1 <= m <= M.dim:
-        raise ValueError(f"need 1 <= m <= {M.dim}, got {m}")
+    dim = sum(len(diag) for _, diag, _ in chains)
+    if not 1 <= m <= dim:
+        raise ValueError(f"need 1 <= m <= {dim}, got {m}")
     parts = []
-    for _, diag, off in M.chains:
+    for _, diag, off in chains:
         try:
             parts.append(eigvalsh_tridiagonal(
                 diag, off, select="i", select_range=(0, min(m, len(diag)) - 1),
@@ -184,8 +168,11 @@ class SpectrumSweep:
     params: ModelParams
     N_list: tuple[int, ...]
     eigenvalues: tuple[tuple[float, ...], ...]   # per N, ascending, length m
-    classification: Classification
     tol: float
+
+    @property
+    def classification(self) -> Classification:
+        return classify_convergence(self)
 
 
 # the spacing shrink that reads as a collapse; an artifact choice like tol
@@ -212,9 +199,7 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
     for row in rows:
         if not all(math.isfinite(v) for v in row):
             raise RuntimeError("non-finite eigenvalue in sweep")
-    sweep = SpectrumSweep(params, tuple(sizes), tuple(rows),
-                          Classification.Inconclusive, tol)
-    return replace(sweep, classification=classify_convergence(sweep))
+    return SpectrumSweep(params, tuple(sizes), tuple(rows), tol)
 
 
 def classify_convergence(sweep: SpectrumSweep,

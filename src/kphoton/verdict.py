@@ -114,10 +114,17 @@ class NormalizabilityReport:
     """Branch-level outcome of the Re(rho) < -1/2 test at rational omega."""
 
     branch: ExponentBranch
-    re_rho: Fraction | None        # exact value when rational or a complex pair
     sign_vs_threshold: int         # certified sign of Re(rho) + 1/2
-    normalizable: bool
-    beta_modulus_flag: bool
+
+    __hash__ = None     # its branch is unhashable
+
+    @property
+    def normalizable(self) -> bool:
+        return self.sign_vs_threshold < 0
+
+    @property
+    def beta_modulus_flag(self) -> bool:
+        return beta_unit_modulus(self.branch)
 
 
 def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
@@ -126,17 +133,11 @@ def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     if omega <= 0:
         raise ValueError("omega must be positive")
     r, s, d = _rho_at(branch.rho, omega)
-    # a real surd pair has no rational Re(rho); otherwise (rational, a complex
-    # pair, or a collapsed double root) Re(rho) = r
-    re = None if d > 0 else r
     sign = _sign_x_plus_y_sqrt_d(r + Fraction(1, 2), s, max(d, 0))
-    return NormalizabilityReport(
-        branch=branch, re_rho=re,
-        sign_vs_threshold=sign, normalizable=sign < 0,
-        beta_modulus_flag=beta_unit_modulus(branch))
+    return NormalizabilityReport(branch, sign)
 
 
-def symmetry_divergence(k: int, branch: ExponentBranch) -> bool:
+def symmetry_divergence(branch: ExponentBranch) -> bool:
     """Whether the z^k expectation integral diverges: k + 2 rho >= -1.
 
     Only defined for real rational rho; a branch with a surd part is refused
@@ -146,7 +147,7 @@ def symmetry_divergence(k: int, branch: ExponentBranch) -> bool:
         raise ValueError("symmetry divergence is only assessed for real "
                          f"rational rho; got {branch.rho.text()}")
     v = branch.rho.rational_value().constant_value()
-    return k + 2 * v >= -1
+    return branch.k + 2 * v >= -1
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +166,14 @@ class VerdictReport:
     delta: Fraction
     verdict: Verdict
     reports: tuple[NormalizabilityReport, ...]
-    lines: tuple[Fraction, ...]    # theta_m / pi, as critical_lines returns
     trace: dict
+
+    __hash__ = None     # its trace is a dict
+
+    @property
+    def lines(self) -> tuple[Fraction, ...]:
+        """theta_m / pi, as critical_lines returns; none below k = 3."""
+        return tuple(critical_lines(self.k)) if self.k >= 3 else ()
 
     def trace_json(self) -> str:
         return json.dumps(self.trace, indent=1, sort_keys=True)
@@ -185,7 +192,7 @@ class VerdictReport:
                 "normalizable": rep.normalizable,
             }
             try:
-                entry["symmetry_divergent"] = symmetry_divergence(br.k, br)
+                entry["symmetry_divergent"] = symmetry_divergence(br)
             except ValueError:
                 entry["symmetry_divergent"] = None
             branches.append(entry)
@@ -245,13 +252,13 @@ def verdict(k: int, omega, delta) -> VerdictReport:
         raise ValueError("omega must be positive")
     if k == 1:
         return VerdictReport(
-            k, omega, delta, Verdict.SelfAdjoint, (), (),
+            k, omega, delta, Verdict.SelfAdjoint, (),
             {"k": 1, "note": "linear coupling is relatively bounded with "
                              "relative bound 0; self-adjointness is inherited "
                              "from the free field operator"})
     if k == 2:
         return VerdictReport(
-            k, omega, delta, Verdict.OutOfScope, (), (),
+            k, omega, delta, Verdict.OutOfScope, (),
             {"k": 2, "note": "quadratic coupling: the Gaussian exponent is "
                              "not a root of unity; see the truncation "
                              "numerics for the collapse at g = omega/2"})
@@ -272,5 +279,4 @@ def verdict(k: int, omega, delta) -> VerdictReport:
             "unexpected non-normalizable branch; the k >= 3 theory "
             "guarantees Re(rho) < -1/2")
     trace = _build_trace(k, levels, branches, reports)
-    return VerdictReport(k, omega, delta, Verdict.NotSelfAdjoint,
-                         reports, tuple(critical_lines(k)), trace)
+    return VerdictReport(k, omega, delta, Verdict.NotSelfAdjoint, reports, trace)

@@ -15,7 +15,7 @@ another way, kept here so that the package ships only what its commands run:
   on fock.build_hkp and fock.lowest_eigenvalues.
 - build_jck: the truncated number-conserving matrix, whose exact census
   checks fock.jck_exact_spectrum and fock.lowest_eigenvalues; dense writes
-  out any fock.ChainMatrix for dense eigh and entry checks.
+  out any list of (index, diag, off) chains for dense eigh and entry checks.
 - op_sum, scale (of a quotient-ring element) and satisfies_quadratic: the
   builders of expected operators and ring elements, and the exact
   back-substitution of an asymptotics.QuadraticRoot into its quadratic.
@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from kphoton.asymptotics import QuadraticRoot, RingElem
-from kphoton.fock import ChainMatrix, ModelParams, _chain_entries
+from kphoton.fock import ModelParams, _chain_entries
 from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
 
 
@@ -145,22 +145,25 @@ def leibniz_hermite_table(m: int) -> dict[tuple[int, int, int], int]:
     return table
 
 
-def build_jck(params: ModelParams, N: int) -> ChainMatrix:
+def build_jck(params: ModelParams, N: int) -> list[tuple]:
     """Truncated number-conserving counterpart: couples |n+k,down> <-> |n,up>
-    only, so its chains are those 2x2 blocks and 1x1 chains for the rest."""
+    only, so its (index, diag, off) chains are those 2x2 blocks and 1x1
+    chains for the rest."""
     k = params.k
     diag, w = _chain_entries(params, N)
     chains = [((2 * (n + k), 2 * n + 1), (diag[n + k, 0], diag[n, 1]), w[n:n + 1])
               for n in range(N - k)]
     chains += [((2 * n,), diag[n, :1], ()) for n in range(k)]
     chains += [((2 * n + 1,), diag[n, 1:], ()) for n in range(N - k, N)]
-    return ChainMatrix(2 * N, chains)
+    return chains
 
 
-def dense(M: ChainMatrix) -> np.ndarray:
-    """M written out; each coupling goes into both triangles, so it is exactly symmetric."""
-    out = np.zeros((M.dim, M.dim))
-    for idx, diag, off in M.chains:
+def dense(chains) -> np.ndarray:
+    """The direct sum of (index, diag, off) chains written out; each coupling
+    goes into both triangles, so it is exactly symmetric."""
+    dim = sum(len(diag) for _, diag, _ in chains)
+    out = np.zeros((dim, dim))
+    for idx, diag, off in chains:
         out[idx, idx] = diag
         out[idx[:-1], idx[1:]] = off
         out[idx[1:], idx[:-1]] = off

@@ -216,12 +216,12 @@ def test_criterion_6_verdict_grid():
             rep = verdict(k, 1, 0)
             if k == 3:
                 for r in rep.reports:
-                    assert symmetry_divergence(3, r.branch)   # rho = -2 boundary
+                    assert symmetry_divergence(r.branch)   # rho = -2 boundary
             elif k >= 5:
                 plus = F(1 - k, 2)
                 for r in rep.reports:
                     v = r.branch.rho.rational_value().constant_value()
-                    assert symmetry_divergence(k, r.branch) == (v == plus)
+                    assert symmetry_divergence(r.branch) == (v == plus)
 
 
 def test_criterion_7_numerics_oracles():

@@ -465,7 +465,7 @@ class TestPlumbing:
         mod = importlib.import_module("kphoton.verdict")
         real = mod.normalizability
         monkeypatch.setattr(mod, "normalizability", lambda b, omega: dataclasses.replace(
-            real(b, omega), normalizable=False))
+            real(b, omega), sign_vs_threshold=1))
         code, out, err = run(capsys, "verdict", "--k", "3", "--omega", "1",
                              "--delta", "0")
         assert code == 3 and out == ""
@@ -476,7 +476,11 @@ class TestPlumbing:
         (("jc-exact", "--k", "0", "--g", "0.1"), "k must be a positive integer, got 0"),
         (("sweep", "--k", "1", "--g", "1", "--N", "10,5,30"),
          "truncation sizes must be strictly increasing"),
-    ], ids=["sweep-g", "jc-exact-k", "sweep-N"])
+        (("verdict", "--k", "0", "--omega", "1", "--delta", "0"),
+         "verdict supports 1 <= k <= 12, got 0"),
+        (("verdict", "--k", "13", "--omega", "1", "--delta", "0"),
+         "verdict supports 1 <= k <= 12, got 13"),
+    ], ids=["sweep-g", "jc-exact-k", "sweep-N", "verdict-k0", "verdict-k13"])
     def test_domain_errors_exit_2_with_message(self, capsys, args, message):
         assert run(capsys, *args) == (2, "", f"kphoton: {message}\n")
 

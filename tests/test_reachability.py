@@ -9,9 +9,15 @@ ParamPoly.terms as the benchmark's size probes do.  Every module-level
 function and method whose code object lives in a src/kphoton file must be
 entered; a name that only the tests call belongs in tests/oracles.py.
 Dataclass-generated methods are compiled from "<string>" and fall out.
+
+Under the same traffic every dataclass field and __slots__ entry declared
+in src/kphoton must be read by code other than the generated methods and
+dataclasses.replace: a value that nothing reads, or that its object can
+compute, is not stored.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -114,3 +120,44 @@ def test_every_shipped_function_runs(tmp_path):
     missing = sorted(name for code, name in codes.items() if code not in entered
                      and not name.endswith(ALLOWED_METHODS) and name not in ALLOWED)
     assert not missing, f"shipped but never run: {missing}"
+
+
+def _stored():
+    """{class: its dataclass fields and __slots__ entries} for every class
+    defined in a src/kphoton module."""
+    out = {}
+    for name in MODULES:
+        for obj in vars(importlib.import_module(name)).values():
+            if inspect.isclass(obj) and obj.__module__ == name:
+                attrs = set(vars(obj).get("__slots__", ()))
+                if dataclasses.is_dataclass(obj):
+                    attrs.update(f.name for f in dataclasses.fields(obj))
+                if attrs:
+                    out[obj] = attrs
+    return out
+
+
+def test_every_field_is_read(tmp_path):
+    _, caches = _shipped()
+    for cache in caches:
+        cache.cache_clear()     # a cached result would skip the reads that built it
+    stored, read = _stored(), set()
+
+    def recording(cls):
+        get = cls.__getattribute__
+
+        def getattribute(self, attr):
+            if attr in stored[cls]:
+                caller = sys._getframe(1).f_code.co_filename
+                if caller != "<string>" and not caller.endswith("dataclasses.py"):
+                    read.add(f"{cls.__qualname__}.{attr}")
+            return get(self, attr)
+        return getattribute
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in stored:
+            mp.setattr(cls, "__getattribute__", recording(cls))
+        _traffic(tmp_path)
+    never = sorted({f"{cls.__qualname__}.{attr}" for cls, attrs in stored.items()
+                    for attr in attrs} - read)
+    assert not never, f"stored but never read: {never}"

@@ -149,7 +149,7 @@ class TestNormalizability:
         _, branches = _exponent_pipeline(3)
         for b in branches:
             rep = normalizability(b, 1)
-            assert rep.re_rho == F(-2)
+            assert _rho_at(b.rho, 1) == (F(-2), 0, 0)
             assert rep.sign_vs_threshold == -1
             assert rep.normalizable
             assert rep.beta_modulus_flag
@@ -158,21 +158,23 @@ class TestNormalizability:
         _, branches = _exponent_pipeline(4)
         for b in branches:
             rep = normalizability(b, 4)
-            assert rep.re_rho == F(-5, 2)
+            r, _, d = _rho_at(b.rho, 4)
+            assert r == F(-5, 2) and d == 0
             assert rep.normalizable
 
     def test_k4_omega_5_complex_pair(self):
         _, branches = _exponent_pipeline(4)
         for b in branches:
             rep = normalizability(b, 5)
-            assert rep.re_rho == F(-5, 2)
+            r, _, d = _rho_at(b.rho, 5)
+            assert r == F(-5, 2) and d < 0
             assert rep.normalizable
 
     def test_k4_omega_1_real_pair(self):
         _, branches = _exponent_pipeline(4)
         reps = [normalizability(b, 1) for b in branches]
         for rep in reps:
-            assert rep.re_rho is None          # irrational real value
+            assert _rho_at(rep.branch.rho, 1)[2] > 0      # irrational real value
             assert rep.sign_vs_threshold == -1
             assert rep.normalizable
         # -5/2 +- sqrt(15)/4, as (rational, surd, disc)
@@ -197,14 +199,14 @@ class TestNormalizability:
 
 class TestSymmetryDivergence:
     def test_k5_plus_branch_diverges(self):
-        assert symmetry_divergence(5, _branch(5, 0, RingElem.zero(5), _rational_rho(-2)))
+        assert symmetry_divergence(_branch(5, 0, RingElem.zero(5), _rational_rho(-2)))
 
     def test_k5_minus_branch_does_not(self):
-        assert not symmetry_divergence(5, _branch(5, 0, RingElem.zero(5), _rational_rho(-5)))
+        assert not symmetry_divergence(_branch(5, 0, RingElem.zero(5), _rational_rho(-5)))
 
     def test_k3_boundary_counts_as_divergent(self):
         # k + 2 rho = -1: the tail integrand is 1/r
-        assert symmetry_divergence(3, _branch(3, 0, RingElem.zero(3), _rational_rho(-2)))
+        assert symmetry_divergence(_branch(3, 0, RingElem.zero(3), _rational_rho(-2)))
 
     @pytest.mark.parametrize("k", range(5, 13))
     def test_pipeline_split(self, k):
@@ -214,13 +216,13 @@ class TestSymmetryDivergence:
         for b in branches:
             v = b.rho.rational_value().constant_value()
             seen.add(v)
-            assert symmetry_divergence(k, b) == (v == plus)
+            assert symmetry_divergence(b) == (v == plus)
         assert seen == {plus, minus}
 
     def test_surd_rho_refused(self):
         _, branches = _exponent_pipeline(4)
         with pytest.raises(ValueError):
-            symmetry_divergence(4, branches[0])
+            symmetry_divergence(branches[0])
 
 
 def _schema():
@@ -235,6 +237,14 @@ class TestVerdict:
         assert rep.reports == () and rep.lines == ()
         assert "relatively bounded" in rep.trace["note"]
 
+    def test_records_are_unhashable(self):
+        # each holds an unhashable value, so it declares itself unhashable
+        # rather than fail inside a field
+        rep = verdict(3, 1, 0)
+        for obj in (rep, rep.reports[0], rep.reports[0].branch):
+            with pytest.raises(TypeError, match=f"unhashable type: '{type(obj).__name__}'"):
+                hash(obj)
+
     def test_k2_out_of_scope(self):
         rep = verdict(2, 1, 1)
         assert rep.verdict is Verdict.OutOfScope
@@ -244,7 +254,7 @@ class TestVerdict:
         rep = verdict(3, 1, F(1, 2))
         assert rep.verdict is Verdict.NotSelfAdjoint
         assert len(rep.reports) == 6
-        assert all(r.re_rho == F(-2) for r in rep.reports)
+        assert all(_rho_at(r.branch.rho, 1) == (F(-2), 0, 0) for r in rep.reports)
         obj = rep.to_json_obj()
         assert [b["rho"] for b in obj["branches"]] == [{"re": "-2"}] * 6
         assert all(b["symmetry_divergent"] for b in obj["branches"])
