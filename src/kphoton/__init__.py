@@ -40,8 +40,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # Only names not bound above reach here: the fock names, which load numpy
-    # (and scipy on the first eigensolve), so they are imported on first use
-    # (the CLI sets OpenBLAS's thread count before that happens).
+    # (and, on the first eigensolve, scipy's LAPACK wrapper dstebz but not
+    # scipy.linalg), so they are imported on first use (the CLI sets
+    # OpenBLAS's thread count before that happens).
     if name == "fock" or name in __all__:
         fock = importlib.import_module(".fock", __name__)
         return fock if name == "fock" else getattr(fock, name)

@@ -9,7 +9,8 @@ validation, 3 solver failure (the message carries the residual/diagnostic).
 
 The exact subcommands never load numpy or scipy; sweep and jc-exact import
 kphoton.fock, and with it numpy, on first use, after the BLAS thread count
-below is set.  scipy loads only for sweep's eigensolves.
+below is set.  Of scipy, only sweep's eigensolves load anything: the one
+LAPACK wrapper they call, from scipy.linalg._flapack, not scipy.linalg.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .weyl import a_coeff, build_reduced_operator
 
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
 # sweep bisects tridiagonal chains.  numpy loads only on the numeric paths
-# (sweep, jc-exact) and scipy only on sweep, and this must be set before they
-# do: each OpenBLAS they load otherwise starts cpu_count - 1 workers that
-# busy-wait after start-up and take CPU from the main thread.
+# (sweep, jc-exact), and sweep also loads scipy's _flapack extension, which
+# links scipy's own OpenBLAS.  This must be set before either loads: each
+# OpenBLAS otherwise starts cpu_count - 1 workers that busy-wait after
+# start-up and take CPU from the main thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 

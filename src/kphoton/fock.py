@@ -8,15 +8,21 @@ into 2x2 blocks.  The sx-coupled model is the object under study, where
 truncated spectra can look plausible while failing to converge.
 
 Its truncation splits exactly into symmetric tridiagonal chains (see
-build_hkp); eigensolves bisect each chain with LAPACK's stebz, at O(N) per
-eigenvalue.  All classification thresholds are artifact choices (flagged in
-the emitted summaries), not derived quantities.
+build_hkp); eigensolves bisect each distinct chain once with LAPACK's dstebz,
+at O(N) per eigenvalue.  The module loads numpy and, on the first eigensolve,
+that one LAPACK wrapper from scipy's compiled _flapack extension, not the
+scipy.linalg package.  All classification thresholds are artifact choices
+(flagged in the emitted summaries), not derived quantities.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,23 +139,58 @@ def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
 _BISECTION_TOL = 2 * np.finfo(float).tiny
 
 
+@functools.cache
+def _dstebz():
+    """The f2py wrapper of LAPACK's dstebz that scipy.linalg's
+    eigvalsh_tridiagonal calls, loaded from scipy's _flapack extension
+    without running scipy/__init__.py or scipy/linalg/__init__.py, whose
+    imports (numpy.testing and numpy.f2py among them) take longer than a
+    sweep's eigensolves and are not used here."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(p, "linalg") for p in scipy.submodule_search_locations])
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy.linalg._flapack'",
+                                  name="scipy.linalg._flapack")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dstebz
+
+
 def lowest_eigenvalues(chains, m: int) -> list[float]:
     """The m algebraically smallest eigenvalues, ascending, of the direct sum
-    of (index, diag, off) chains: the lowest m of every chain, merged."""
-    from scipy.linalg import eigvalsh_tridiagonal   # only the eigensolves load scipy
+    of (index, diag, off) chains: the lowest m of every chain, merged.
 
+    Each chain is bisected by LAPACK's dstebz with the arguments
+    scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+    lapack_driver="stebz", tol=_BISECTION_TOL) passes it, so the values are
+    bit-identical to that call's; scipy.linalg itself is never imported.  A
+    chain whose entries are bitwise those of the previous chain, as the
+    (r, 0) and (r, 1) chains of build_hkp are at delta = 0, reuses its
+    eigenvalues.  Non-finite entries raise ValueError; a LAPACK failure
+    raises RuntimeError.
+    """
     dim = sum(len(diag) for _, diag, _ in chains)
     if not 1 <= m <= dim:
         raise ValueError(f"need 1 <= m <= {dim}, got {m}")
-    parts = []
+    stebz = _dstebz()
+    parts, prev = [], None
     for _, diag, off in chains:
-        try:
-            parts.append(eigvalsh_tridiagonal(
-                diag, off, select="i", select_range=(0, min(m, len(diag)) - 1),
-                lapack_driver="stebz", tol=_BISECTION_TOL))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"tridiagonal eigensolver failed on a chain of "
-                               f"length {len(diag)}: {exc}") from exc
+        diag, off = np.asarray_chkfinite(diag, float), np.asarray_chkfinite(off, float)
+        key = diag.tobytes(), off.tobytes()     # bitwise, so -0.0 and 0.0 stay apart
+        if key == prev:
+            parts.append(parts[-1])
+        elif len(diag) == 1:
+            parts.append(diag)      # stebz refuses an empty off
+        else:
+            count, w, _, _, info = stebz(diag, off, 2, 0.0, 1.0, 1, min(m, len(diag)),
+                                         _BISECTION_TOL, "E")
+            if info != 0:
+                raise RuntimeError(f"tridiagonal eigensolver failed on a chain of "
+                                   f"length {len(diag)}: dstebz info = {info}")
+            parts.append(w[:count])
+        prev = key
     return [float(v) for v in np.sort(np.concatenate(parts))[:m]]
 
 

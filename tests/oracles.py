@@ -16,6 +16,9 @@ another way, kept here so that the package ships only what its commands run:
 - build_jck: the truncated number-conserving matrix, whose exact census
   checks fock.jck_exact_spectrum and fock.lowest_eigenvalues; dense writes
   out any list of (index, diag, off) chains for dense eigh and entry checks.
+- stebz_reference: scipy.linalg.eigvalsh_tridiagonal on each chain, the
+  route fock.lowest_eigenvalues took before it called LAPACK's dstebz
+  directly; its values must be bit-identical to the package's.
 - op_sum, scale (of a quotient-ring element) and satisfies_quadratic: the
   builders of expected operators and ring elements, and the exact
   back-substitution of an asymptotics.QuadraticRoot into its quadratic.
@@ -32,7 +35,7 @@ from functools import cache
 import numpy as np
 
 from kphoton.asymptotics import QuadraticRoot, RingElem
-from kphoton.fock import ModelParams, _chain_entries
+from kphoton.fock import _BISECTION_TOL, ModelParams, _chain_entries
 from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
 
 
@@ -168,6 +171,19 @@ def dense(chains) -> np.ndarray:
         out[idx[:-1], idx[1:]] = off
         out[idx[1:], idx[:-1]] = off
     return out
+
+
+def stebz_reference(chains, m: int) -> list[float]:
+    """The m lowest eigenvalues of the direct sum of (index, diag, off)
+    chains, each chain solved by scipy.linalg.eigvalsh_tridiagonal's stebz
+    driver at the package's bisection tolerance, merged."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    parts = [eigvalsh_tridiagonal(diag, off, select="i",
+                                  select_range=(0, min(m, len(diag)) - 1),
+                                  lapack_driver="stebz", tol=_BISECTION_TOL)
+             for _, diag, off in chains]
+    return [float(v) for v in np.sort(np.concatenate(parts))[:m]]
 
 
 def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:

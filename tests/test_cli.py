@@ -312,6 +312,25 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "diagonal w*n -+ d is not a finite double at k=2, n=1;" in err
 
+    def test_full_range_digest(self, capsys):
+        # a grid over k, coupling and splitting, in every format, pinned as one
+        # digest of the concatenated stdout; N = k+1..k+3 leaves chains of
+        # length 1, and delta = 0 makes the chains (r, 0) and (r, 1) equal
+        h = hashlib.sha256()
+        for fmt in ("csv", "json", "text"):
+            for k in range(1, 7):
+                for g in ("0", "0.05", "0.3", "0.5"):
+                    for delta in ("0", "1/2"):
+                        for sizes in (("40,80,160",),
+                                      (",".join(str(k + i) for i in (1, 2, 3)),
+                                       "--m", "2")):
+                            code, out, _ = run(capsys, "sweep", "--k", str(k), "--g", g,
+                                               "--delta", delta, "--N", *sizes,
+                                               "--format", fmt)
+                            assert code == 0
+                            h.update(out.encode())
+        assert h.hexdigest() == "a55692ede32d92701e6f362e528524f5e4d14818b53d281643c6a397e13908d6"
+
 
 class TestJcExact:
     def test_csv(self, capsys):
@@ -503,7 +522,8 @@ class TestPlumbing:
 
     def test_solver_failure_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
-            raise RuntimeError("banded eigensolver failed on dimension 40")
+            raise RuntimeError("tridiagonal eigensolver failed on a chain of length 40: "
+                               "dstebz info = 1")
         monkeypatch.setattr(fock, "convergence_sweep", boom)
         code, _, err = run(capsys, "sweep", "--k", "1", "--g", "1",
                            "--N", "20,40,60")
@@ -567,13 +587,14 @@ class TestPlumbing:
         assert proc.stderr.splitlines()[-1] == f"{code} False False"
         assert trace.exists() == (str(trace) in args)
 
-    # only sweep's eigensolves load scipy; jc-exact is closed form
-    @pytest.mark.parametrize("args, scipy", [
-        (("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"), True),
-        (("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"), False),
+    # neither loads the scipy package: sweep's eigensolves load only the
+    # LAPACK wrapper scipy.linalg._flapack, and jc-exact is closed form
+    @pytest.mark.parametrize("args", [
+        ("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"),
+        ("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"),
     ], ids=["sweep", "jc-exact"])
-    def test_numeric_paths_load_numpy(self, args, scipy):
+    def test_numeric_paths_load_numpy(self, args):
         proc = subprocess.run([sys.executable, "-c", self._REPORT_LOADS, *args],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == f"0 True {scipy}"
+        assert proc.stderr.splitlines()[-1] == "0 True False"

@@ -25,7 +25,7 @@ from kphoton.fock import (
     sweep_csv,
     sweep_summary,
 )
-from oracles import build_jck, dense, displaced_oscillator_oracle
+from oracles import build_jck, dense, displaced_oscillator_oracle, stebz_reference
 
 
 class TestModelParams:
@@ -210,13 +210,17 @@ class TestLowestEigenvalues:
         assert lowest_eigenvalues(m, 2) == pytest.approx([1 - r, 1 + r], rel=1e-14)
         assert dense(m)[0, 1] == dense(m)[1, 0] == 0.5
 
-    def test_against_dense_reference(self):
+    @staticmethod
+    def _random_chains():
         # random chains over a shuffled basis, merged across chain boundaries
         rng = np.random.default_rng(20260814)
         dim = 200
         cuts = np.sort(rng.choice(np.arange(1, dim), size=7, replace=False))
-        chains = [(idx, rng.standard_normal(len(idx)), rng.standard_normal(len(idx) - 1))
-                  for idx in np.split(rng.permutation(dim), cuts)]
+        return [(idx, rng.standard_normal(len(idx)), rng.standard_normal(len(idx) - 1))
+                for idx in np.split(rng.permutation(dim), cuts)]
+
+    def test_against_dense_reference(self):
+        chains = self._random_chains()
         H = dense(chains)
         assert np.max(np.abs(H - H.T)) == 0.0
         dense_vals = eigh(H, eigvals_only=True)
@@ -229,6 +233,56 @@ class TestLowestEigenvalues:
         for bad in (0, 4):
             with pytest.raises(ValueError):
                 lowest_eigenvalues(m, bad)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_bit_identical_to_stebz_reference(self, k, delta):
+        # exact equality with scipy.linalg.eigvalsh_tridiagonal, chain by
+        # chain: N = k+1 leaves chains of length 1 for k >= 2, and delta = 0
+        # makes the chains (r, 0) and (r, 1) equal
+        for g in (0.0, 0.05, 0.5):
+            for N in (k + 1, 17, 400):
+                chains = build_hkp(ModelParams(k, g, 1.0, delta), N)
+                for m in sorted({1, min(10, 2 * N), 2 * N}):
+                    assert lowest_eigenvalues(chains, m) == stebz_reference(chains, m)
+
+    def test_bit_identical_to_stebz_reference_large_and_random(self):
+        for delta in (0.0, 0.5):
+            chains = build_hkp(ModelParams(3, 0.1, 1.0, delta), 8000)
+            assert lowest_eigenvalues(chains, 10) == stebz_reference(chains, 10)
+        chains = self._random_chains()
+        for m in (1, 12, 200):
+            assert lowest_eigenvalues(chains, m) == stebz_reference(chains, m)
+
+    @pytest.mark.parametrize("delta, solved", [(0.0, [17, 17, 16]),
+                                               (0.5, [17, 17, 17, 17, 16, 16])])
+    def test_each_distinct_chain_solved_once(self, monkeypatch, delta, solved):
+        # the lengths of the chains handed to stebz, in (r, s) order
+        stebz, calls = fock._dstebz(), []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return stebz(*args)
+        monkeypatch.setattr(fock, "_dstebz", lambda: counting)
+        chains = build_hkp(ModelParams(3, 0.2, 1.0, delta), 50)
+        assert lowest_eigenvalues(chains, 10) == stebz_reference(chains, 10)
+        assert calls == solved
+
+    @pytest.mark.parametrize("entry", ["diag", "off"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, entry, bad):
+        diag, off = [0.0, 1.0, 2.0], [0.5, 0.5]
+        {"diag": diag, "off": off}[entry][1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lowest_eigenvalues([((0, 1, 2), diag, off)], 2)
+
+    def test_lapack_failure_names_the_chain_length(self, monkeypatch):
+        def failing(d, e, *args):
+            return 0, np.zeros(len(d)), np.zeros(len(d), np.int32), np.zeros(len(d), np.int32), 4
+        monkeypatch.setattr(fock, "_dstebz", lambda: failing)
+        chains = [((0,), (1.0,), ()), ((1, 2, 3), (0.0, 1.0, 2.0), (0.5, 0.5))]
+        with pytest.raises(RuntimeError, match="eigensolver failed on a chain of length 3"):
+            lowest_eigenvalues(chains, 2)
 
 
 class TestChainsAgainstDense:
