@@ -9,10 +9,10 @@ Only the c_0 series e^(g z^2/2 + b z) z^r is differentiated, and
 differentiating it only multiplies by g, b and r + e, so it holds integers.
 The c_n term is the c_0 term at r - n, so with L_m(g, b, r) the c_0 part of
 level m, level l is sum_n c_n L_(l-n)(g, b, r - n) (the Frobenius structure
-of the recurrence).  substitute_ansatz keeps only the L_m; a level writes out
-its shifted copies when it is read (the exponent solve and the verdict read
-levels 0..5), and the tail recursion instead evaluates each L_m, with gamma
-and beta substituted, at the rational r = rho - n.  w, d, E enter when
+of the recurrence).  substitute_ansatz keeps only the L_m, as ring elements,
+and one sum writes out the shifted copies with RingElem.subs: for a level when
+it is read (the exponent solve and the verdict read levels 0..5), and for the
+tail recursion, with gamma and beta substituted and r = rho.  w, d, E enter when
 substitute_ansatz applies the operator; every coefficient in (w, d, E) is a
 ParamPoly, integer numerators over one common denominator, so the levels and
 the tail are built in integer arithmetic.
@@ -314,42 +314,38 @@ _MAX_DEPTH = 32
 class LevelEquation:
     """Level l: the coefficient of z^(r + 2k - l), sum_n c_n L_(l-n)(g, b, r - n).
 
-    parts is the tuple of D*L_m, m = 0..depth, that all levels of one
-    substitute_ansatz call share, each {(g, b, r): {param exponent: int}} over
-    den = D.  coeff writes out the shifted copies on its first read.
+    parts is the tuple of c_0 parts L_m, m = 0..depth, as free-g RingElems,
+    that all levels of one substitute_ansatz call share.  coeff writes out the
+    shifted copies on its first read.
     """
 
     level: int
     parts: tuple = field(repr=False)
-    den: int
 
     @cached_property
     def coeff(self) -> RingElem:
         """The level as a RingElem: every term carries exactly one c_n."""
-        terms = {}
-        for n in range(self.level + 1):
-            part = self.parts[self.level - n]
-            for (g, b, r), poly in (_shift_r(part, n) if n else part).items():
-                if poly:
-                    terms[g, b, r, (n,)] = ParamPoly.over(poly, self.den)
-        return RingElem._wrap(terms)
+        return _level_sum(self.parts, self.level, (), RingElem({(0, 0, 1, ()): P_ONE}))
 
     def text(self) -> str:
         return self.coeff.text()
 
 
-def _shift_r(part: dict, n: int) -> dict:
-    """part with r replaced by r - n: r^t -> sum_s C(t, s) (-n)^(t-s) r^s."""
-    out = {}
-    for (g, b, t), poly in part.items():
-        for s in range(t + 1):
-            slot = out.get((g, b, s))
-            if slot is None:
-                slot = out[g, b, s] = {}
-            w = math.comb(t, s) * (-n) ** (t - s)
-            for e, v in poly.items():
-                accumulate(slot, e, v * w)
-    return out
+def _level_sum(L, l: int, c: tuple, r: RingElem) -> RingElem:
+    """sum_n c_n L[l - n](r - n) for n = 0..l, in r's ring.
+
+    c_n is c[n] where c holds it and the symbol c_n beyond; r is the symbol r
+    or a value for it.
+    """
+    terms = {}
+    for n in range(l + 1):
+        cn = c[n] if n < len(c) else RingElem({(0, 0, 0, (n,)): P_ONE}, r.modulus)
+        if not cn:
+            continue
+        shifted = L[l - n].subs("r", r + RingElem.from_param(ParamPoly.rational(-n), r.modulus))
+        for key, p in (cn * shifted).terms.items():
+            accumulate(terms, key, p)
+    return RingElem._wrap(terms, r.modulus)
 
 
 def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEquation]:
@@ -362,10 +358,10 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
     Only the c_0 series is differentiated, and only the c_0 parts L_m(g, b, r)
     of levels 0..depth are built: c_n z^(r - n) is the c_0 term at r - n, so
     the c_n part of level l is L_(l-n)(g, b, r - n), which each LevelEquation
-    derives from the L_m when its coeff is read.  The L_m are integer
-    polynomials over the lcm D of the operator's coefficient denominators
-    (D = 1 for build_reduced_operator), and every returned level shares the
-    one tuple of them.
+    derives from the L_m when its coeff is read.  Each D*L_m is accumulated in
+    integers, D the lcm of the operator's coefficient denominators (D = 1 for
+    build_reduced_operator), then kept as a free-g RingElem whose values are
+    ParamPolys over D; every returned level shares the one tuple of them.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
@@ -393,9 +389,10 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
                 slot = part.setdefault(key, {})
                 for e, c in p.items():
                     accumulate(slot, e, c * q)
-        parts.append(part)
+        parts.append(RingElem._wrap({(g, b, r, ()): ParamPoly.over(poly, den)
+                                     for (g, b, r), poly in part.items() if poly}))
     parts = tuple(parts)
-    return [LevelEquation(l, parts, den) for l in range(depth + 1)]
+    return [LevelEquation(l, parts) for l in range(depth + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +462,19 @@ def _square_content(n: int) -> int:
 
 
 class QuadraticRoot:
-    """One root rational + surd*sqrt(disc) of a stored monic quadratic.
+    """One root rational + surd*sqrt(disc) of a monic quadratic in r.
 
-    All four components are ParamPoly values; disc is normalized to integer
+    All three components are ParamPoly values; disc is normalized to integer
     content free of square factors (a perfect-square disc is folded away, so
-    rational roots always have surd = 0).
+    rational roots always have surd = 0).  The quadratic is not stored:
+    monic() rebuilds it from the root.
     """
 
-    __slots__ = ("rational", "surd", "disc", "monic_b", "monic_c")
+    __slots__ = ("rational", "surd", "disc")
 
-    def __init__(self, rational, surd, disc, monic_b, monic_c):
-        as_p = lambda v: v if isinstance(v, ParamPoly) else ParamPoly.rational(v)
-        self.rational = as_p(rational)
-        self.surd = as_p(surd)
-        self.disc = as_p(disc)
-        self.monic_b = as_p(monic_b)
-        self.monic_c = as_p(monic_c)
+    def __init__(self, rational: ParamPoly, surd: ParamPoly = P_ZERO,
+                 disc: ParamPoly = P_ZERO):
+        self.rational, self.surd, self.disc = rational, surd, disc
 
     @classmethod
     def pair_from_monic(cls, b: ParamPoly, c: ParamPoly) -> list["QuadraticRoot"]:
@@ -488,7 +482,7 @@ class QuadraticRoot:
         rational = b.scale(Fraction(-1, 2))
         disc0 = b * b - c.scale(4)
         if disc0.is_zero():
-            return [cls(rational, P_ZERO, P_ZERO, b, c)]
+            return [cls(rational)]
         # den^2 * disc0 has integer coefficients with content den * gcd(num)
         den = disc0.den
         s = _square_content(den * math.gcd(*disc0.num.values()))
@@ -496,14 +490,17 @@ class QuadraticRoot:
         surd = Fraction(s, 2 * den)
         if disc == P_ONE:
             # perfect square: two rational roots
-            return [cls(rational + ParamPoly.rational(sign * surd),
-                        P_ZERO, P_ZERO, b, c) for sign in (1, -1)]
-        return [cls(rational, ParamPoly.rational(sign * surd), disc, b, c)
-                for sign in (1, -1)]
+            return [cls(rational + ParamPoly.rational(sign * surd)) for sign in (1, -1)]
+        return [cls(rational, ParamPoly.rational(sign * surd), disc) for sign in (1, -1)]
 
-    @classmethod
-    def from_rational(cls, r: ParamPoly) -> "QuadraticRoot":
-        return cls(r, P_ZERO, P_ZERO, -(r + r), r * r)
+    def monic(self) -> tuple[ParamPoly, ParamPoly]:
+        """(b, c) of x^2 + b x + c, whose roots are this one and its conjugate.
+
+        For a surd root that is the quadratic pair_from_monic solved; for a
+        rational root it is (x - root)^2.
+        """
+        return (-(self.rational + self.rational),
+                self.rational * self.rational - self.surd * self.surd * self.disc)
 
     def is_rational(self) -> bool:
         return self.surd.is_zero()
@@ -527,8 +524,7 @@ class QuadraticRoot:
     def __eq__(self, other):
         return (isinstance(other, QuadraticRoot)
                 and self.rational == other.rational and self.surd == other.surd
-                and self.disc == other.disc and self.monic_b == other.monic_b
-                and self.monic_c == other.monic_c)
+                and self.disc == other.disc)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +578,7 @@ class ExponentBranch:
             if self.rho.is_rational():
                 elem = elem.subs("r", self.rho.rational_value())
             else:
-                elem = elem.rem_rho_quadratic(self.rho.monic_b, self.rho.monic_c)
+                elem = elem.rem_rho_quadratic(*self.rho.monic())
         out = {}
         for key, p in elem.terms.items():
             if not key[3] or key[3][0] >= len(self.c):
@@ -644,7 +640,7 @@ def _solve_rho(eq: RingElem, level: int) -> list[QuadraticRoot]:
         return QuadraticRoot.pair_from_monic(b, c)
     if deg == 1:
         val = _scalarize((-poly.get(0, zero)).div_unit(poly[1]), level, "r value")
-        return [QuadraticRoot.from_rational(val)]
+        return [QuadraticRoot(val)]
     raise UnsolvableLevel(level, eq.text(), "no r present where r is expected")
 
 
@@ -767,21 +763,15 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     if not branch.rho.is_rational():
         raise ValueError("tail recursion needs a rational rho branch; "
                          f"got {branch.rho.text()}")
-    k, rho = branch.k, branch.rho.rational_value()
-    parts, den = levels[0].parts, levels[0].den
+    k, parts = branch.k, levels[0].parts
+    rho = RingElem.from_param(branch.rho.rational_value(), k)
     L: list[RingElem] = []     # L[m]: L_m(gamma, beta, r), built as levels reach m
     for l in range(5, len(levels)):
         if len(branch.c) > n_max:
             break
         while len(L) <= l:
-            Lm = RingElem({(g, b, r, ()): ParamPoly.over(poly, den)
-                           for (g, b, r), poly in parts[len(L)].items() if poly}, k)
-            L.append(Lm.subs("g", branch.gamma).subs("b", branch.beta))
-        eq = RingElem.zero(k)
-        for n in range(l + 1):
-            cn = branch.c[n] if n < len(branch.c) else RingElem({(0, 0, 0, (n,)): P_ONE}, k)
-            if cn:
-                eq = eq + cn * L[l - n].subs("r", rho - ParamPoly.rational(n))
+            L.append(parts[len(L)].reduce(k).subs("g", branch.gamma).subs("b", branch.beta))
+        eq = _level_sum(L, l, branch.c, rho)
         if eq:
             (branch,) = _advance(branch, eq, l, n_max)
     if len(branch.c) <= n_max:

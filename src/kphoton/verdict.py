@@ -266,8 +266,7 @@ def verdict(k: int, omega, delta) -> VerdictReport:
 
     # the whole argument needs E symbolic: no exponent may depend on it
     for b in branches:
-        for poly in (b.rho.rational, b.rho.surd, b.rho.disc,
-                     b.rho.monic_b, b.rho.monic_c):
+        for poly in (b.rho.rational, b.rho.surd, b.rho.disc):
             if poly.uses("E") or poly.uses("d"):
                 raise RuntimeError("exponent depends on E or Delta")
         if b.beta.uses_param("E") or b.beta.uses_param("d"):

@@ -21,7 +21,7 @@ another way, kept here so that the package ships only what its commands run:
   directly; its values must be bit-identical to the package's.
 - op_sum, scale (of a quotient-ring element) and satisfies_quadratic: the
   builders of expected operators and ring elements, and the exact
-  back-substitution of an asymptotics.QuadraticRoot into its quadratic.
+  back-substitution of an asymptotics.QuadraticRoot into a given quadratic.
 
 Tests import them as ``from oracles import ...``: pytest puts this directory
 on sys.path because it holds test modules and no __init__.py.
@@ -54,11 +54,12 @@ def scale(x: RingElem, q) -> RingElem:
     return RingElem({key: p * q for key, p in x.terms.items()}, x.modulus)
 
 
-def satisfies_quadratic(root: QuadraticRoot) -> bool:
-    """Exact back-substitution into the root's stored monic quadratic."""
+def satisfies_quadratic(root: QuadraticRoot, b, c) -> bool:
+    """Exact back-substitution of root into x^2 + b x + c (ParamPoly or rational)."""
+    b, c = (v if isinstance(v, ParamPoly) else ParamPoly.rational(v) for v in (b, c))
     plain = (root.rational * root.rational + root.surd * root.surd * root.disc
-             + root.monic_b * root.rational + root.monic_c)
-    mixed = (root.rational.scale(2) + root.monic_b) * root.surd
+             + b * root.rational + c)
+    mixed = (root.rational.scale(2) + b) * root.surd
     return plain.is_zero() and mixed.is_zero()
 
 

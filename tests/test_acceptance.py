@@ -136,17 +136,17 @@ def test_criterion_3_exponents_k4():
         assert len(branches) == 8
         quarter = ParamPoly.rational(F(1, 4))
         disc = ParamPoly.rational(16) - ParamPoly.monomial(2, 0, 0)
+        # monic quadratic r^2 + 5r + (w^2/16 + 21/4), the w^2/16 included
+        five = ParamPoly.rational(5)
+        const = ParamPoly.monomial(2, 0, 0, F(1, 16)) + ParamPoly.rational(F(21, 4))
         for b in branches:
             assert b.beta.is_zero()
-            # monic quadratic r^2 + 5r + (w^2/16 + 21/4), the w^2/16 included
-            assert b.rho.monic_b == ParamPoly.rational(5)
-            assert b.rho.monic_c == (ParamPoly.monomial(2, 0, 0, F(1, 16))
-                                     + ParamPoly.rational(F(21, 4)))
+            assert b.rho.monic() == (five, const)
             # roots -5/2 +- sqrt(16 - w^2)/4
             assert b.rho.rational == ParamPoly.rational(F(-5, 2))
             assert b.rho.surd in (quarter, -quarter)
             assert b.rho.disc == disc
-            assert satisfies_quadratic(b.rho)
+            assert satisfies_quadratic(b.rho, five, const)
         for m in range(4):
             surds = sorted(b.rho.surd.constant_value()
                            for b in branches if b.gamma_index == m)
@@ -168,11 +168,10 @@ def test_criterion_4_exponents_k5_to_12():
             roots = {F(1 - k, 2), F(5 - 3 * k, 2)}
             for b in branches:
                 assert b.beta.is_zero()
-                assert b.rho.monic_b == ParamPoly.rational(lin)
-                assert b.rho.monic_c == ParamPoly.rational(const)
+                assert satisfies_quadratic(b.rho, lin, const)
                 for name in ("w", "d", "E"):
-                    assert not b.rho.monic_b.uses(name)
-                    assert not b.rho.monic_c.uses(name)
+                    for poly in (b.rho.rational, b.rho.surd, b.rho.disc):
+                        assert not poly.uses(name)
                 assert b.rho.is_rational()
                 assert b.rho.rational_value().constant_value() in roots
             for m in range(k):

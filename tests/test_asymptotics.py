@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,12 @@ from kphoton.asymptotics import (
     QuadraticRoot,
     RingElem,
     UnsolvableLevel,
+    _advance,
     _c0_derivatives,
+    _solve_beta,
     _solve_c,
+    _solve_rho,
+    _square_content,
     assemble_final_quadratic,
     c_recursion,
     crho_closed,
@@ -150,7 +155,7 @@ class TestQuadraticRoot:
         assert plus.surd == ParamPoly.rational(Fraction(1, 4))
         assert minus.surd == ParamPoly.rational(Fraction(-1, 4))
         assert plus.disc == ParamPoly.rational(16) - W * W
-        assert satisfies_quadratic(plus) and satisfies_quadratic(minus)
+        assert satisfies_quadratic(plus, b, c) and satisfies_quadratic(minus, b, c)
         assert not plus.is_rational()
 
     def test_perfect_square_disc_gives_rationals(self):
@@ -164,13 +169,24 @@ class TestQuadraticRoot:
                                               ParamPoly.rational(4))
         assert len(roots) == 1 and roots[0].rational_value().constant_value() == -2
 
+    def test_equality_reads_every_field(self):
+        r, s, d = ParamPoly.rational(-2), ParamPoly.rational(1), ParamPoly.rational(3)
+        assert QuadraticRoot(r, s, d) == QuadraticRoot(r, s, d)
+        assert QuadraticRoot(r) == QuadraticRoot(r, ParamPoly(), ParamPoly())
+        for other in (QuadraticRoot(-r, s, d), QuadraticRoot(r, -s, d),
+                      QuadraticRoot(r, s, d + d)):
+            assert QuadraticRoot(r, s, d) != other
+
     @settings(max_examples=60, deadline=None)
     @given(st.fractions(min_value=-50, max_value=50, max_denominator=8),
            st.fractions(min_value=-50, max_value=50, max_denominator=8))
     def test_back_substitution_property(self, b, c):
         for root in QuadraticRoot.pair_from_monic(ParamPoly.rational(b),
                                                   ParamPoly.rational(c)):
-            assert satisfies_quadratic(root)
+            assert satisfies_quadratic(root, b, c)
+            if not root.is_rational():
+                # a surd root rebuilds exactly the quadratic it was solved from
+                assert root.monic() == (ParamPoly.rational(b), ParamPoly.rational(c))
 
 
 class TestAnsatzSeries:
@@ -345,8 +361,8 @@ class TestSolveLevels:
         assert len(branches) == 8
         for b in branches:
             assert b.beta.is_zero()
-            assert b.rho.monic_b == ParamPoly.rational(5)
-            assert b.rho.monic_c == (W * W).scale(Fraction(1, 16)) + ParamPoly.rational(Fraction(21, 4))
+            assert b.rho.monic() == (ParamPoly.rational(5), (W * W).scale(Fraction(1, 16))
+                                     + ParamPoly.rational(Fraction(21, 4)))
             assert b.rho.disc == ParamPoly.rational(16) - W * W
         assert branches[0].rho.surd == ParamPoly.rational(Fraction(1, 4))
         assert branches[1].rho.surd == ParamPoly.rational(Fraction(-1, 4))
@@ -358,8 +374,7 @@ class TestSolveLevels:
         gb, gc = rho_quadratic_general(k)
         for b in branches:
             assert b.beta.is_zero()
-            assert b.rho.monic_b == ParamPoly.rational(gb)
-            assert b.rho.monic_c == ParamPoly.rational(gc)
+            assert satisfies_quadratic(b.rho, gb, gc)
             assert b.rho.is_rational()
         vals = {b.rho.rational_value().constant_value() for b in branches}
         assert vals == {Fraction(1 - k, 2), Fraction(5 - 3 * k, 2)}
@@ -379,7 +394,7 @@ class TestSolveLevels:
     @pytest.mark.parametrize("k", range(5, 13))
     def test_exponents_free_of_parameters(self, k):
         for b in solve_levels(levels_for(k), k):
-            for poly in (b.rho.monic_b, b.rho.monic_c, b.rho.rational):
+            for poly in (b.rho.rational, b.rho.surd, b.rho.disc):
                 for name in ("w", "d", "E"):
                     assert not poly.uses(name)
             assert b.beta.is_zero()
@@ -402,6 +417,56 @@ class TestSolveC:
         assert info.value.level == 6
         assert info.value.reason == "more than one unknown c_n at this level"
         assert info.value.residual == "w*c3"
+
+
+def _refusal(solve, *args) -> str:
+    with pytest.raises(UnsolvableLevel) as info:
+        solve(*args)
+    return info.value.reason
+
+
+class TestSolverBranches:
+    """Solver cases that no command's levels reach, on synthetic levels."""
+
+    @staticmethod
+    def elem(terms, k=3):
+        # {(g, b, r, c): int or Fraction} in the quotient ring at k
+        return RingElem({key: ParamPoly.rational(q) for key, q in terms.items()}, k)
+
+    def test_beta_linear(self):
+        # 2g*b + 3 = 0  ->  b = -3/(2g) = (3/2) g^2, using g^3 = -1
+        eq = self.elem({(1, 1, 0, ()): 2, (0, 0, 0, ()): 3})
+        assert _solve_beta(eq, 1) == [G(2, 3, Fraction(3, 2))]
+
+    def test_beta_quadratic_with_linear_term_refused(self):
+        eq = self.elem({(0, 2, 0, ()): 1, (0, 1, 0, ()): 1, (0, 0, 0, ()): 1})
+        assert _refusal(_solve_beta, eq, 2) == "b-quadratic with linear term"
+
+    def test_beta_cubic_refused(self):
+        eq = self.elem({(0, 3, 0, ()): 1, (0, 0, 0, ()): 1})
+        assert _refusal(_solve_beta, eq, 2) == "degree 3 in b"
+
+    def test_rho_cubic_refused(self):
+        eq = self.elem({(0, 0, 3, ()): 1, (0, 0, 0, ()): 1})
+        assert _refusal(_solve_rho, eq, 4) == "degree 3 in r"
+
+    def test_rho_monic_constant_with_g_refused(self):
+        # r^2 + g: the monic constant is not a parameter polynomial; refused
+        # for as long as rho must lie in Q(w, d, E) plus a surd
+        eq = self.elem({(0, 0, 2, ()): 1, (1, 0, 0, ()): 1})
+        assert _refusal(_solve_rho, eq, 4) == "monic constant is not a scalar"
+
+    def test_advance_needs_b_first(self):
+        partial = ExponentBranch(3, 0, None, None, c=(RingElem.one(3),))
+        eq = self.elem({(0, 0, 1, ()): 1})
+        assert _refusal(_advance, partial, eq, 1, 4) == "nonzero level before b was determined"
+
+    def test_square_content_brute_force(self):
+        for n in range(-5000, 5001):
+            m = abs(n)
+            want = max((s for s in range(1, math.isqrt(m) + 1) if m % (s * s) == 0),
+                       default=1)
+            assert _square_content(n) == want, n
 
 
 class TestCRecursion:

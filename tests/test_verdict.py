@@ -32,7 +32,7 @@ def _branch(k, m, beta, rho):
 
 
 def _rational_rho(v) -> QuadraticRoot:
-    return QuadraticRoot.from_rational(ParamPoly.rational(v))
+    return QuadraticRoot(ParamPoly.rational(v))
 
 
 class TestCriticalLines:
@@ -264,8 +264,7 @@ class TestVerdict:
         rep = verdict(5, 1, 0)
         assert rep.verdict is Verdict.NotSelfAdjoint
         for r in rep.reports:
-            assert r.branch.rho.monic_b.is_constant()
-            assert r.branch.rho.monic_c.is_constant()
+            assert all(p.is_constant() for p in r.branch.rho.monic())
 
     def test_rejects_bad_inputs(self):
         for bad in (0, -1, 2.0, "3"):
