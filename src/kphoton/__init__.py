@@ -1,63 +1,52 @@
 """Exact asymptotics and Fock-space numerics for k-photon Rabi models."""
 
 import importlib
-
-from .asymptotics import (
-    DivisionByNonUnit,
-    ExponentBranch,
-    LevelEquation,
-    OutOfScope,
-    QuadraticRoot,
-    RingElem,
-    UnsolvableLevel,
-    assemble_final_quadratic,
-    c_recursion,
-    crho_closed,
-    gf_coefficient,
-    rho_quadratic_general,
-    solve_levels,
-    substitute_ansatz,
-)
-from .verdict import (
-    NormalizabilityReport,
-    Verdict,
-    VerdictReport,
-    beta_unit_modulus,
-    critical_lines,
-    normalizability,
-    symmetry_divergence,
-    verdict,
-)
-from .weyl import (
-    OperatorPoly,
-    ParamPoly,
-    a_coeff,
-    build_reduced_operator,
-)
+import sys
+import types
 
 __version__ = "0.1.0"
 
+# The public names by the submodule that defines them.  None is imported
+# until a name is first read, so each command pays only for the modules it
+# runs: the numeric ones load neither the exact modules nor numpy or scipy
+# (fock calls one LAPACK routine through ctypes on the first eigensolve, after
+# the CLI has set OpenBLAS's thread count), and the exact ones load no fock.
+_NAMES = {
+    "asymptotics": (
+        "DivisionByNonUnit", "ExponentBranch", "LevelEquation", "OutOfScope",
+        "QuadraticRoot", "RingElem", "UnsolvableLevel", "assemble_final_quadratic",
+        "c_recursion", "crho_closed", "gf_coefficient", "rho_quadratic_general",
+        "solve_levels", "substitute_ansatz"),
+    "verdict": (
+        "NormalizabilityReport", "Verdict", "VerdictReport", "beta_unit_modulus",
+        "critical_lines", "normalizability", "symmetry_divergence", "verdict"),
+    "weyl": ("OperatorPoly", "ParamPoly", "a_coeff", "build_reduced_operator"),
+    "fock": (
+        "Classification", "ModelParams", "SpectrumSweep", "build_hkp",
+        "classify_convergence", "convergence_sweep", "jck_exact_spectrum",
+        "lowest_eigenvalues", "sweep_csv", "sweep_summary"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
 
 def __getattr__(name: str):
-    # Only names not bound above reach here: the fock names, which load numpy
-    # (and, on the first eigensolve, scipy's LAPACK wrapper dstebz but not
-    # scipy.linalg), so they are imported on first use (the CLI sets
-    # OpenBLAS's thread count before that happens).
-    if name == "fock" or name in __all__:
-        fock = importlib.import_module(".fock", __name__)
-        return fock if name == "fock" else getattr(fock, name)
+    # a public name first, so that kphoton.verdict is the function
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _NAMES:
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Classification", "DivisionByNonUnit", "ExponentBranch", "LevelEquation",
-    "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
-    "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep",
-    "UnsolvableLevel", "Verdict", "VerdictReport", "a_coeff",
-    "assemble_final_quadratic", "beta_unit_modulus", "build_hkp",
-    "build_reduced_operator", "c_recursion", "classify_convergence",
-    "convergence_sweep", "critical_lines", "crho_closed", "gf_coefficient",
-    "jck_exact_spectrum", "lowest_eigenvalues", "normalizability",
-    "rho_quadratic_general", "solve_levels", "substitute_ansatz",
-    "sweep_csv", "sweep_summary", "symmetry_divergence", "verdict",
-]
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds each submodule it loads on its package, and
+        # the submodule kphoton.verdict would hide the verdict function.
+        if name == "verdict" and isinstance(value, types.ModuleType):
+            value = value.verdict
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+__all__ = sorted(_HOME)

@@ -7,10 +7,12 @@ rational strings like 7/2 and refuse decimal input; the numeric subcommands
 (sweep, jc-exact) accept decimals.  Exit codes: 0 success, 2 input
 validation, 3 solver failure (the message carries the residual/diagnostic).
 
-The exact subcommands never load numpy or scipy; sweep and jc-exact import
-kphoton.fock, and with it numpy, on first use, after the BLAS thread count
-below is set.  Of scipy, only sweep's eigensolves load anything: the one
-LAPACK wrapper they call, from scipy.linalg._flapack, not scipy.linalg.
+Each handler imports the modules it runs: the exact subcommands load neither
+kphoton.fock nor numpy or scipy, and sweep and jc-exact load kphoton.fock but
+none of the exact modules and neither numpy nor scipy.  Of scipy's files,
+only sweep's eigensolves open one: the LAPACK library that the compiled
+scipy.linalg._flapack extension links, through ctypes, after the BLAS thread
+count below is set.
 """
 
 from __future__ import annotations
@@ -22,16 +24,11 @@ import re
 import sys
 from fractions import Fraction
 
-from . import asymptotics
-from .verdict import _exponent_pipeline, verdict as run_verdict
-from .weyl import a_coeff, build_reduced_operator
-
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
-# sweep bisects tridiagonal chains.  numpy loads only on the numeric paths
-# (sweep, jc-exact), and sweep also loads scipy's _flapack extension, which
-# links scipy's own OpenBLAS.  This must be set before either loads: each
-# OpenBLAS otherwise starts cpu_count - 1 workers that busy-wait after
-# start-up and take CPU from the main thread.
+# sweep bisects tridiagonal chains with LAPACK's dstebz, from the OpenBLAS
+# that scipy's _flapack extension links.  This must be set before that
+# library loads: OpenBLAS otherwise starts cpu_count - 1 workers that
+# busy-wait after start-up and take CPU from the main thread.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
@@ -112,6 +109,7 @@ def _write_atomic(path: str, text: str) -> None:
 # subcommand handlers: take the parsed namespace, return the output text
 
 def _cmd_coeffs(ns) -> str:
+    from .weyl import a_coeff
     k = _check_k(ns.k, 1, 64, "coeffs")
     rows = [(j, a_coeff(j, k)) for j in range(1, k + 1)]
     if ns.format == "json":
@@ -122,6 +120,7 @@ def _cmd_coeffs(ns) -> str:
 
 
 def _cmd_ode(ns) -> str:
+    from .weyl import build_reduced_operator
     k = _check_k(ns.k, 2, 64, "ode")
     op = build_reduced_operator(k)
     if ns.format == "json":
@@ -137,6 +136,7 @@ def _cmd_ode(ns) -> str:
 
 
 def _cmd_exponents(ns) -> str:
+    from .verdict import _exponent_pipeline
     if ns.k == 2:
         raise CliError("k = 2 is out of scope for the exponent pipeline: the "
                        "Gaussian exponent is not a root of unity there; use "
@@ -163,8 +163,9 @@ def _cmd_exponents(ns) -> str:
 
 
 def _cmd_verdict(ns) -> str:
+    from .verdict import verdict
     _check_k(ns.k, 1, 12, "verdict")
-    rep = run_verdict(ns.k, ns.omega, ns.delta)
+    rep = verdict(ns.k, ns.omega, ns.delta)
     if ns.trace:
         _write_atomic(ns.trace, rep.trace_json() + "\n")
     if ns.format == "json":
@@ -191,6 +192,7 @@ def _cmd_verdict(ns) -> str:
 
 
 def _cmd_gf(ns) -> str:
+    from . import asymptotics
     k = _check_k(ns.k, 5, 12, "gf")
     c2k_r2, c2k_r, ck_r2, ck_r = asymptotics.crho_closed(k)
     c0 = asymptotics.gf_coefficient(2 * k - 2)
@@ -323,6 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _asymptotics_errors(*names: str) -> tuple[type, ...]:
+    """The named exception classes of kphoton.asymptotics, or none while it
+    is not loaded: only a handler that imported it can raise them, and the
+    numeric handlers do not."""
+    module = sys.modules.get(f"{__package__}.asymptotics")
+    return tuple(getattr(module, name) for name in names) if module else ()
+
+
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
@@ -332,14 +342,14 @@ def main(argv=None) -> int:
         text = ns.func(ns)
         if ns.output:
             _write_atomic(ns.output, text)
-    except (CliError, asymptotics.OutOfScope) as exc:
+    except (CliError, *_asymptotics_errors("OutOfScope")) as exc:
         print(f"kphoton: {exc}", file=sys.stderr)
         return 2
-    except asymptotics.UnsolvableLevel as exc:
+    except _asymptotics_errors("UnsolvableLevel") as exc:
         print(f"kphoton: unsolvable level {exc.level}: {exc.reason}; "
               f"residual: {exc.residual}", file=sys.stderr)
         return 3
-    except (asymptotics.DivisionByNonUnit, RuntimeError) as exc:
+    except (*_asymptotics_errors("DivisionByNonUnit"), RuntimeError) as exc:
         print(f"kphoton: solver failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

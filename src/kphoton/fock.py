@@ -9,23 +9,27 @@ truncated spectra can look plausible while failing to converge.
 
 Its truncation splits exactly into symmetric tridiagonal chains (see
 build_hkp); eigensolves bisect each distinct chain once with LAPACK's dstebz,
-at O(N) per eigenvalue.  The module loads numpy and, on the first eigensolve,
-that one LAPACK wrapper from scipy's compiled _flapack extension, not the
-scipy.linalg package.  All classification thresholds are artifact choices
-(flagged in the emitted summaries), not derived quantities.
+at O(N) per eigenvalue.  Entries are Python floats held in array('d'), so
+the module imports neither numpy nor scipy: the first eigensolve opens the
+LAPACK library that scipy's compiled _flapack extension links with ctypes
+and calls dstebz from it directly.  All classification thresholds are
+artifact choices (flagged in the emitted summaries), not derived quantities.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
+import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, islice, repeat
 
 
 @dataclass(frozen=True)
@@ -55,37 +59,49 @@ def _not_finite(what: str, k: int, n) -> ValueError:
                       "use a smaller N or n_max")
 
 
-def _couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
-    """g*sqrt(n!/(n-k)!) for each n, refused once it is not a finite double."""
-    if params.g == 0:
-        return np.zeros(len(n))     # sqrt(n!/(n-k)!) may overflow, and 0*inf is nan
-    w = np.ones(len(n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(params.k):
-            w *= np.sqrt(n - t)
-        w *= params.g
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise _not_finite("coupling g*sqrt(n!/(n-k)!)", params.k, n[bad[0]])
+def _diagonal(params: ModelParams, N: int) -> tuple[array, array]:
+    """w*n - d and w*n + d, the energies of |n,down> and |n,up>, for n < N."""
+    wn = list(map(operator.mul, repeat(params.omega), range(N)))
+    down = array("d", map(operator.add, wn, repeat(-params.delta)))
+    up = array("d", map(operator.add, wn, repeat(params.delta)))
+    # w*n grows with n, so a non-finite row, if any, is followed by more
+    if not (math.isfinite(down[-1]) and math.isfinite(up[-1])):
+        bad = next(n for n in range(N)
+                   if not (math.isfinite(down[n]) and math.isfinite(up[n])))
+        raise _not_finite("diagonal w*n -+ d", params.k, bad)
+    return down, up
+
+
+def _couplings(params: ModelParams, N: int) -> array:
+    """g*sqrt(n!/(n-k)!) for k <= n < N, refused once it is not a finite
+    double.  Each is ((1*sqrt(n))*sqrt(n-1)*...*sqrt(n-k+1))*g, rounded in
+    that order: the order of tests/oracles.py's numpy build, whose bytes the
+    tests require."""
+    k = params.k
+    if params.g == 0:   # sqrt(n!/(n-k)!) may overflow, and 0*inf is nan
+        return array("d", bytes(8 * (N - k)))
+    roots = array("d", list(map(math.sqrt, range(N))))
+    w = roots[k:]
+    for t in range(1, k):
+        w = list(map(operator.mul, w, islice(roots, k - t, None)))
+    w = array("d", map(operator.mul, w, repeat(params.g)))
+    # every factor grows with n, so an overflow reaches the last coupling
+    if not math.isfinite(w[-1]):
+        bad = next(j for j, x in enumerate(w) if not math.isfinite(x))
+        raise _not_finite("coupling g*sqrt(n!/(n-k)!)", k, k + bad)
     return w
 
 
-def _chain_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (w*n - d, w*n + d), the energies of |n,down> and |n,up> for
-    n < N, and couplings w[n - k] = g*sqrt(n!/(n-k)!) for k <= n < N."""
+def _chain_entries(params: ModelParams, N: int) -> tuple[array, array, array]:
+    """The energies (w*n - d, w*n + d) of |n,down> and |n,up> for n < N, and
+    the couplings w[n - k] = g*sqrt(n!/(n-k)!) for k <= n < N."""
     k = params.k
     if N <= k:
         raise ValueError(f"need N > k, got N={N}, k={k}")
-    n = np.arange(N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = params.omega * n[:, None] + np.array([-params.delta, params.delta])
-    bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
-    if bad.size:
-        raise _not_finite("diagonal w*n -+ d", k, bad[0])
-    return diag, _couplings(params, n[k:])
+    return *_diagonal(params, N), _couplings(params, N)
 
 
-def build_hkp(params: ModelParams, N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def build_hkp(params: ModelParams, N: int) -> list[tuple[array, array, array]]:
     """Truncate the sx-coupled model to the first N Fock states (dim 2N).
 
     Diagonal: w*n - d on |n,down>, w*n + d on |n,up>.  The coupling flips
@@ -94,16 +110,23 @@ def build_hkp(params: ModelParams, N: int) -> list[tuple[np.ndarray, np.ndarray,
     truncation splits exactly into the 2k chains
     {|r + jk, s xor (j mod 2)> : j >= 0} for r < k, s in {0, 1}, returned
     in (r, s) order as (index, diag, off): the basis indices 2n+s in chain
-    order, the diagonal, and off[j] coupling index[j] to index[j+1].
+    order as array('q'), the diagonal as array('d'), and off[j], coupling
+    index[j] to index[j+1], as array('d').
     """
     k = params.k
-    diag, w = _chain_entries(params, N)
+    down, up, w = _chain_entries(params, N)
     chains = []
     for r in range(k):
-        n = np.arange(r, N, k)
-        for s in (0, 1):
-            spin = (s + np.arange(len(n))) % 2
-            chains.append((2 * n + spin, diag[n, spin], w[n[1:] - k]))
+        length = len(range(r, N, k))
+        for s, (even, odd) in enumerate(((down, up), (up, down))):
+            # chain position j holds n = r + jk with spin s xor (j mod 2)
+            index = array("q", bytes(8 * length))
+            index[::2] = array("q", range(2 * r + s, 2 * N, 4 * k))
+            index[1::2] = array("q", range(2 * (r + k) + 1 - s, 2 * N, 4 * k))
+            diag = array("d", bytes(8 * length))
+            diag[::2] = even[r::2 * k]
+            diag[1::2] = odd[r + k::2 * k]
+            chains.append((index, diag, w[r::k]))
     return chains
 
 
@@ -113,21 +136,21 @@ def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
     uncoupled spin-down levels w*n - d below the first block.
 
     The block n couples |n+k,down> and |n,up>, so d0, d1 and off are read off
-    the _chain_entries(params, n_max + k + 1) rows.  tests/oracles.py's
-    build_jck truncates H_JC from the same rows; its spin-up singletons
-    n > n_max lost their partner to the truncation and are left out here.
+    _chain_entries(params, n_max + k + 1).  tests/oracles.py's build_jck
+    truncates H_JC from the same entries, built with numpy; its spin-up
+    singletons n > n_max lost their partner to the truncation and are left
+    out here.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     k = params.k
-    diag, w = _chain_entries(params, n_max + k + 1)
+    down, up, w = _chain_entries(params, n_max + k + 1)
     # Python floats: an overflowing mean becomes inf without a warning
     levels = []
-    for n, (d0, d1, off) in enumerate(zip(diag[k:, 0].tolist(), diag[:, 1].tolist(),
-                                          w.tolist())):
+    for n, (d0, d1, off) in enumerate(zip(down[k:], up, w)):
         mean, r = (d0 + d1) / 2, math.hypot((d0 - d1) / 2, off)
         levels += [(n, mean - r), (n, mean + r)]
-    levels += enumerate(diag[:k, 0].tolist())
+    levels += enumerate(down[:k])
     for n, e in levels:
         if not math.isfinite(e):
             raise _not_finite("closed-form eigenvalue", k, n)
@@ -136,26 +159,77 @@ def jck_exact_spectrum(params: ModelParams, n_max: int) -> list[float]:
 
 # stebz's absolute tolerance.  LAPACK's default, eps*||T||, leaves E_min of
 # an N=1000 chain off by up to 7e-13 relative; 2*tiny bisects to a few ulp.
-_BISECTION_TOL = 2 * np.finfo(float).tiny
+_BISECTION_TOL = 2 * sys.float_info.min
+
+# the LAPACK symbol names: scipy-openblas wheels prefix theirs
+_DSTEBZ_NAMES = ("scipy_dstebz_", "dstebz_")
 
 
 @functools.cache
 def _dstebz():
-    """The f2py wrapper of LAPACK's dstebz that scipy.linalg's
-    eigvalsh_tridiagonal calls, loaded from scipy's _flapack extension
-    without running scipy/__init__.py or scipy/linalg/__init__.py, whose
-    imports (numpy.testing and numpy.f2py among them) take longer than a
-    sweep's eigensolves and are not used here."""
+    """LAPACK's dstebz, from the library that scipy's compiled _flapack
+    extension links.  The extension is found on scipy's path without
+    importing scipy and opened with ctypes without running its module init,
+    which would import numpy; neither is used here.  Raises RuntimeError
+    when no such routine is found."""
     scipy = importlib.util.find_spec("scipy")
     spec = scipy and importlib.machinery.PathFinder.find_spec(
         "scipy.linalg._flapack",
         [os.path.join(p, "linalg") for p in scipy.submodule_search_locations])
     if spec is None:
-        raise ModuleNotFoundError("No module named 'scipy.linalg._flapack'",
-                                  name="scipy.linalg._flapack")
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dstebz
+        raise RuntimeError("LAPACK's dstebz was not found: no scipy.linalg._flapack "
+                           "extension is installed")
+    try:
+        lib = ctypes.CDLL(spec.origin)
+    except OSError as exc:
+        raise RuntimeError(f"LAPACK's dstebz was not found: {exc}") from None
+    stebz = next((getattr(lib, name) for name in _DSTEBZ_NAMES if hasattr(lib, name)), None)
+    if stebz is None:
+        raise RuntimeError(f"LAPACK's dstebz was not found: {spec.origin} exports "
+                           f"no {' or '.join(_DSTEBZ_NAMES)}")
+    # Fortran takes every argument by reference; the two trailing size_t are
+    # gfortran's hidden lengths of the character arguments
+    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    stebz.argtypes = [ctypes.c_char_p, ctypes.c_char_p,         # RANGE, ORDER
+                      int_p, double_p, double_p, int_p, int_p,    # N, VL, VU, IL, IU
+                      double_p, double_p, double_p,               # ABSTOL, D, E
+                      int_p, int_p, double_p, int_p, int_p,       # M, NSPLIT, W, IBLOCK, ISPLIT
+                      double_p, int_p, int_p,                     # WORK, IWORK, INFO
+                      ctypes.c_size_t, ctypes.c_size_t]
+    stebz.restype = None
+    return stebz
+
+
+def _finite_doubles(values) -> array:
+    """values as an array('d'), copied unless it is one already; non-finite
+    entries raise ValueError."""
+    if not (isinstance(values, array) and values.typecode == "d"):
+        values = array("d", values)
+    # a sum is finite only if every term is; a non-finite one may be an overflow
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        raise ValueError("array must not contain infs or NaNs")
+    return values
+
+
+def _lowest_of_chain(stebz, diag: array, off: array, m: int) -> list[float]:
+    """The m lowest eigenvalues of one chain of length n >= 2, ascending:
+    dstebz("I", "E") for eigenvalues 1..m at tolerance _BISECTION_TOL, the
+    call scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+    lapack_driver="stebz", tol=_BISECTION_TOL) makes."""
+    n = len(diag)
+    c_int, c_double = ctypes.c_int, ctypes.c_double
+    count, nsplit, info = c_int(), c_int(), c_int()
+    w = (c_double * n)()
+    stebz(b"I", b"E", ctypes.byref(c_int(n)), ctypes.byref(c_double(0.0)),
+          ctypes.byref(c_double(1.0)), ctypes.byref(c_int(1)), ctypes.byref(c_int(m)),
+          ctypes.byref(c_double(_BISECTION_TOL)),
+          (c_double * n).from_buffer(diag), (c_double * (n - 1)).from_buffer(off),
+          ctypes.byref(count), ctypes.byref(nsplit), w, (c_int * n)(), (c_int * n)(),
+          (c_double * (4 * n))(), (c_int * (3 * n))(), ctypes.byref(info), 1, 1)
+    if info.value != 0:
+        raise RuntimeError(f"tridiagonal eigensolver failed on a chain of "
+                           f"length {n}: dstebz info = {info.value}")
+    return w[:count.value]
 
 
 def lowest_eigenvalues(chains, m: int) -> list[float]:
@@ -165,33 +239,35 @@ def lowest_eigenvalues(chains, m: int) -> list[float]:
     Each chain is bisected by LAPACK's dstebz with the arguments
     scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
     lapack_driver="stebz", tol=_BISECTION_TOL) passes it, so the values are
-    bit-identical to that call's; scipy.linalg itself is never imported.  A
+    bit-identical to that call's; neither numpy nor scipy is imported.  A
     chain whose entries are bitwise those of the previous chain, as the
     (r, 0) and (r, 1) chains of build_hkp are at delta = 0, reuses its
-    eigenvalues.  Non-finite entries raise ValueError; a LAPACK failure
-    raises RuntimeError.
+    eigenvalues.  A chain needs one diagonal entry or more and one coupling
+    fewer; that, non-finite entries and a bad m raise ValueError before
+    LAPACK is called.  A LAPACK failure raises RuntimeError.
     """
     dim = sum(len(diag) for _, diag, _ in chains)
     if not 1 <= m <= dim:
         raise ValueError(f"need 1 <= m <= {dim}, got {m}")
+    entries = []
+    for _, diag, off in chains:
+        diag, off = _finite_doubles(diag), _finite_doubles(off)
+        if not diag or len(off) != len(diag) - 1:
+            raise ValueError(f"a chain needs n >= 1 diagonal entries and n - 1 "
+                             f"couplings, got {len(diag)} and {len(off)}")
+        entries.append((diag, off))
     stebz = _dstebz()
     parts, prev = [], None
-    for _, diag, off in chains:
-        diag, off = np.asarray_chkfinite(diag, float), np.asarray_chkfinite(off, float)
+    for diag, off in entries:
         key = diag.tobytes(), off.tobytes()     # bitwise, so -0.0 and 0.0 stay apart
         if key == prev:
             parts.append(parts[-1])
         elif len(diag) == 1:
-            parts.append(diag)      # stebz refuses an empty off
+            parts.append(diag)      # a 1x1 chain is its own eigenvalue
         else:
-            count, w, _, _, info = stebz(diag, off, 2, 0.0, 1.0, 1, min(m, len(diag)),
-                                         _BISECTION_TOL, "E")
-            if info != 0:
-                raise RuntimeError(f"tridiagonal eigensolver failed on a chain of "
-                                   f"length {len(diag)}: dstebz info = {info}")
-            parts.append(w[:count])
+            parts.append(_lowest_of_chain(stebz, diag, off, min(m, len(diag))))
         prev = key
-    return [float(v) for v in np.sort(np.concatenate(parts))[:m]]
+    return sorted(chain.from_iterable(parts))[:m]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ another way, kept here so that the package ships only what its commands run:
   asymptotics.gf_coefficient and asymptotics.crho_closed.
 - displaced_oscillator_oracle: the exact k = 1, delta = 0 spectrum, the check
   on fock.build_hkp and fock.lowest_eigenvalues.
+- numpy_chains: fock.build_hkp as elementwise numpy arrays, the build the
+  package had before it ran on Python floats; every chain's bytes and every
+  refusal must be the same.
 - build_jck: the truncated number-conserving matrix, whose exact census
   checks fock.jck_exact_spectrum and fock.lowest_eigenvalues; dense writes
   out any list of (index, diag, off) chains for dense eigh and entry checks.
@@ -35,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from kphoton.asymptotics import QuadraticRoot, RingElem
-from kphoton.fock import _BISECTION_TOL, ModelParams, _chain_entries
+from kphoton.fock import _BISECTION_TOL, ModelParams, _not_finite
 from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
 
 
@@ -149,12 +152,56 @@ def leibniz_hermite_table(m: int) -> dict[tuple[int, int, int], int]:
     return table
 
 
+def _numpy_couplings(params: ModelParams, n: np.ndarray) -> np.ndarray:
+    """g*sqrt(n!/(n-k)!) for each n, refused once it is not a finite double."""
+    if params.g == 0:
+        return np.zeros(len(n))     # sqrt(n!/(n-k)!) may overflow, and 0*inf is nan
+    w = np.ones(len(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(params.k):
+            w *= np.sqrt(n - t)
+        w *= params.g
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise _not_finite("coupling g*sqrt(n!/(n-k)!)", params.k, n[bad[0]])
+    return w
+
+
+def _numpy_entries(params: ModelParams, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (w*n - d, w*n + d), the energies of |n,down> and |n,up> for
+    n < N, and couplings w[n - k] = g*sqrt(n!/(n-k)!) for k <= n < N."""
+    k = params.k
+    if N <= k:
+        raise ValueError(f"need N > k, got N={N}, k={k}")
+    n = np.arange(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = params.omega * n[:, None] + np.array([-params.delta, params.delta])
+    bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
+    if bad.size:
+        raise _not_finite("diagonal w*n -+ d", k, bad[0])
+    return diag, _numpy_couplings(params, n[k:])
+
+
+def numpy_chains(params: ModelParams, N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """fock.build_hkp's (index, diag, off) chains in its (r, s) order, built
+    with numpy: int64 indices 2n + spin, float64 entries."""
+    k = params.k
+    diag, w = _numpy_entries(params, N)
+    chains = []
+    for r in range(k):
+        n = np.arange(r, N, k)
+        for s in (0, 1):
+            spin = (s + np.arange(len(n))) % 2
+            chains.append((2 * n + spin, diag[n, spin], w[n[1:] - k]))
+    return chains
+
+
 def build_jck(params: ModelParams, N: int) -> list[tuple]:
     """Truncated number-conserving counterpart: couples |n+k,down> <-> |n,up>
     only, so its (index, diag, off) chains are those 2x2 blocks and 1x1
     chains for the rest."""
     k = params.k
-    diag, w = _chain_entries(params, N)
+    diag, w = _numpy_entries(params, N)
     chains = [((2 * (n + k), 2 * n + 1), (diag[n + k, 0], diag[n, 1]), w[n:n + 1])
               for n in range(N - k)]
     chains += [((2 * n,), diag[n, :1], ()) for n in range(k)]

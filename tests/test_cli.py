@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import importlib
+import importlib.machinery
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -515,10 +517,24 @@ class TestPlumbing:
     def test_unsolvable_level_maps_to_3(self, capsys, monkeypatch):
         def boom(k):
             raise asymptotics.UnsolvableLevel(7, "g2*c4", "nonzero residual")
-        monkeypatch.setattr(cli, "_exponent_pipeline", boom)
+        # the exponents handler imports the pipeline from its module on each call
+        monkeypatch.setattr(importlib.import_module("kphoton.verdict"),
+                            "_exponent_pipeline", boom)
         code, _, err = run(capsys, "exponents", "--k", "5")
         assert code == 3
         assert "g2*c4" in err and "level 7" in err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (asymptotics.OutOfScope, 2, "kphoton: "),
+        (asymptotics.DivisionByNonUnit, 3, "kphoton: solver failure: "),
+    ])
+    def test_exact_failures_map_to_their_codes(self, capsys, monkeypatch, error, code, prefix):
+        def boom(k):
+            raise error("raised in the pipeline")
+        monkeypatch.setattr(importlib.import_module("kphoton.verdict"),
+                            "_exponent_pipeline", boom)
+        assert run(capsys, "exponents", "--k", "5") == (
+            code, "", f"{prefix}raised in the pipeline\n")
 
     def test_solver_failure_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -528,6 +544,29 @@ class TestPlumbing:
         code, _, err = run(capsys, "sweep", "--k", "1", "--g", "1",
                            "--N", "20,40,60")
         assert code == 3 and "eigensolver" in err
+
+    @pytest.mark.parametrize("missing", ["extension", "symbol"])
+    def test_missing_lapack_maps_to_3(self, capsys, monkeypatch, missing):
+        # without scipy's _flapack, or without dstebz in its library, a sweep
+        # is a solver failure that names what was looked for
+        if missing == "extension":
+            find = importlib.machinery.PathFinder.find_spec
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                                lambda name, *args: None if name == "scipy.linalg._flapack"
+                                else find(name, *args))
+            why = "no scipy.linalg._flapack extension is installed"
+        else:
+            monkeypatch.setattr(fock, "_DSTEBZ_NAMES", ("no_such_dstebz_",))
+            why = ".*_flapack.* exports no no_such_dstebz_"
+        fock._dstebz.cache_clear()
+        try:
+            code, out, err = run(capsys, "sweep", "--k", "3", "--g", "0.1",
+                                 "--N", "40,80,160")
+        finally:
+            fock._dstebz.cache_clear()
+        assert (code, out) == (3, "")
+        assert re.fullmatch(f"kphoton: solver failure: LAPACK's dstebz was not found: "
+                            f"{why}\n", err), err
 
     def test_memory_error_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -550,13 +589,21 @@ class TestPlumbing:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        # numpy loads only when jc-exact first needs it, after the setting
-        script = ("import sys, kphoton; assert 'numpy' not in sys.modules; "
-                  "import os, kphoton.cli; assert 'numpy' not in sys.modules; "
-                  "from kphoton.cli import main; "
-                  "assert main(['jc-exact', '--k', '1', '--g', '0.1', '--n-max', '2']) == 0; "
-                  "assert 'numpy' in sys.modules; "
-                  "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        # sweep opens scipy's LAPACK library, which starts OpenBLAS, only
+        # after importing the CLI has chosen its thread count
+        script = ("import ctypes, os, sys\n"
+                  "load, seen = ctypes.CDLL, []\n"
+                  "def spy(path, *args, **kwargs):\n"
+                  "    seen.append((os.path.basename(path).split('.')[0],\n"
+                  "                 os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+                  "    return load(path, *args, **kwargs)\n"
+                  "ctypes.CDLL = spy\n"
+                  "from kphoton.cli import main\n"
+                  "argv = ['sweep', '--k', '1', '--g', '0.1', '--N', '4,5,6', '--m', '2']\n"
+                  "assert main(argv) == 0\n"
+                  "(name, threads), = seen\n"
+                  "assert name == '_flapack', name\n"
+                  "print(threads)")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -587,14 +634,19 @@ class TestPlumbing:
         assert proc.stderr.splitlines()[-1] == f"{code} False False"
         assert trace.exists() == (str(trace) in args)
 
-    # neither loads the scipy package: sweep's eigensolves load only the
-    # LAPACK wrapper scipy.linalg._flapack, and jc-exact is closed form
+    # neither loads numpy, the scipy package or an exact module: sweep's
+    # eigensolves call LAPACK through ctypes, and jc-exact is closed form
     @pytest.mark.parametrize("args", [
         ("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"),
         ("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"),
     ], ids=["sweep", "jc-exact"])
-    def test_numeric_paths_load_numpy(self, args):
-        proc = subprocess.run([sys.executable, "-c", self._REPORT_LOADS, *args],
+    def test_numeric_paths_load_no_numpy(self, args):
+        script = ("import sys; from kphoton.cli import main; "
+                  "code = main(sys.argv[1:]); "
+                  "print(code, sorted({'numpy', 'scipy', 'kphoton.asymptotics', "
+                  "'kphoton.verdict', 'kphoton.weyl'} & set(sys.modules)), "
+                  "'kphoton.fock' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "0 True False"
+        assert proc.stderr.splitlines()[-1] == "0 [] True"

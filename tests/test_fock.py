@@ -25,7 +25,7 @@ from kphoton.fock import (
     sweep_csv,
     sweep_summary,
 )
-from oracles import build_jck, dense, displaced_oscillator_oracle, stebz_reference
+from oracles import build_jck, dense, displaced_oscillator_oracle, numpy_chains, stebz_reference
 
 
 class TestModelParams:
@@ -120,10 +120,33 @@ class TestBuildHkp:
         with pytest.raises(ValueError, match=rf"k=200, n={first}\b"):
             build_hkp(ModelParams(200, 1.0, 1.0, 0.0), 5000)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bytes_match_the_numpy_build(self, k):
+        # the same IEEE operations in the same order: equal bytes, chain by chain
+        for g in (0.0, 0.05, 1.0):
+            for delta in (0.0, -0.0, 0.5, -0.5):
+                p = ModelParams(k, g, 1.0, delta)
+                for N in sorted({k + 1, k + 2, 37, 1000, 8000}):
+                    got, want = build_hkp(p, N), numpy_chains(p, N)
+                    assert len(got) == len(want) == 2 * k
+                    for chain, ref in zip(got, want):
+                        assert [a.tobytes() for a in chain] == [a.tobytes() for a in ref]
+
+    @pytest.mark.parametrize("k, g, omega, delta, N", [
+        (400, 0.1, 1.0, 0.0, 500), (200, 1.0, 1.0, 0.0, 5000),
+        (1, 0.1, 1e308, 1e308, 5), (1, 0.1, 1e308, 0.0, 5), (2, 0.1, 5e307, 1.5e308, 6)])
+    def test_refusals_match_the_numpy_build(self, k, g, omega, delta, N):
+        p = ModelParams(k, g, omega, delta)
+        with pytest.raises(ValueError) as want:
+            numpy_chains(p, N)
+        with pytest.raises(ValueError) as got:
+            build_hkp(p, N)
+        assert str(got.value) == str(want.value)
+
     def test_zero_coupling_at_large_k(self):
         # sqrt(n!/(n-k)!) is past the largest double here, but g = 0 zeroes it
         chains = build_hkp(ModelParams(400, 0.0, 1.0, 0.0), 500)
-        assert all(np.all(off == 0) for _, _, off in chains)
+        assert all(np.all(np.asarray(off) == 0) for _, _, off in chains)
 
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
@@ -261,7 +284,7 @@ class TestLowestEigenvalues:
         stebz, calls = fock._dstebz(), []
 
         def counting(*args):
-            calls.append(len(args[0]))
+            calls.append(len(args[8]))      # D, the chain's diagonal
             return stebz(*args)
         monkeypatch.setattr(fock, "_dstebz", lambda: counting)
         chains = build_hkp(ModelParams(3, 0.2, 1.0, delta), 50)
@@ -277,12 +300,27 @@ class TestLowestEigenvalues:
             lowest_eigenvalues([((0, 1, 2), diag, off)], 2)
 
     def test_lapack_failure_names_the_chain_length(self, monkeypatch):
-        def failing(d, e, *args):
-            return 0, np.zeros(len(d)), np.zeros(len(d), np.int32), np.zeros(len(d), np.int32), 4
+        def failing(*args):
+            args[17]._obj.value = 4     # INFO
         monkeypatch.setattr(fock, "_dstebz", lambda: failing)
         chains = [((0,), (1.0,), ()), ((1, 2, 3), (0.0, 1.0, 2.0), (0.5, 0.5))]
         with pytest.raises(RuntimeError, match="eigensolver failed on a chain of length 3"):
             lowest_eigenvalues(chains, 2)
+
+    @pytest.mark.parametrize("diag, off", [
+        ((0.0, 1.0, 2.0), (0.5,)),
+        ((0.0, 1.0, 2.0), (0.5, 0.5, 0.5)),
+        ((), ()),
+    ], ids=["off-short", "off-long", "empty"])
+    def test_malformed_chain_refused_before_lapack(self, monkeypatch, diag, off):
+        # dstebz reads n - 1 couplings and writes 4n doubles of work: a
+        # mismatched chain must not reach it, even after a well-formed one
+        calls = []
+        monkeypatch.setattr(fock, "_dstebz", lambda: lambda *args: calls.append(args))
+        chains = [((0, 1), (0.0, 1.0), (0.5,)), ((2, 3, 4), diag, off)]
+        with pytest.raises(ValueError, match="a chain needs n >= 1 diagonal entries"):
+            lowest_eigenvalues(chains, 2)
+        assert calls == []
 
 
 class TestChainsAgainstDense:
@@ -499,7 +537,9 @@ class TestLazyImport:
             "import sys, kphoton\n"
             "assert 'numpy' not in sys.modules and 'kphoton.fock' not in sys.modules\n"
             "assert kphoton.ModelParams is kphoton.fock.ModelParams\n"
-            "assert 'numpy' in sys.modules\n"
+            "loaded = {'numpy', 'scipy', 'kphoton.asymptotics', 'kphoton.verdict',\n"
+            "          'kphoton.weyl'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
             "try:\n"
             "    kphoton.no_such_name\n"
             "except AttributeError as exc:\n"
@@ -508,6 +548,18 @@ class TestLazyImport:
             "    raise SystemExit('unknown name resolved')\n"
             "missing = [n for n in kphoton.__all__ if not hasattr(kphoton, n)]\n"
             "assert not missing, missing\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verdict_name_stays_the_function(self):
+        # importing the submodule kphoton.verdict, as cli's verdict handler
+        # and the tests do, must not rebind the package's verdict function
+        script = (
+            "import sys, kphoton, kphoton.verdict\n"
+            "from kphoton import verdict\n"
+            "assert verdict is sys.modules['kphoton.verdict'].verdict\n"
+            "assert kphoton.verdict is verdict\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
