@@ -6,17 +6,39 @@ import types
 
 __version__ = "0.1.0"
 
-# The public names by the submodule that defines them.  None is imported
-# until a name is first read, so each command pays only for the modules it
-# runs: the numeric ones load neither the exact modules nor numpy or scipy
-# (fock calls one LAPACK routine through ctypes on the first eigensolve, after
-# the CLI has set OpenBLAS's thread count), and the exact ones load no fock.
+
+# The exact half's failures live here rather than in kphoton.asymptotics,
+# which raises them, so that a caller can catch them without importing it.
+
+class UnsolvableLevel(Exception):
+    """A level equation is neither zero nor degree <= 2 in its unknown."""
+
+    def __init__(self, level: int, residual: str, reason: str):
+        self.level = level
+        self.residual = residual
+        self.reason = reason
+        super().__init__(f"level {level}: {reason} (residual: {residual})")
+
+
+class DivisionByNonUnit(Exception):
+    """Quotient-ring division was demanded by an element that is not q*mono*g^j."""
+
+
+class OutOfScope(Exception):
+    """Requested k lies outside the asymptotic theory implemented here."""
+
+
+# The other public names by the submodule that defines them.  None is
+# imported until a name is first read, so each command pays only for the
+# modules it runs: the numeric ones load neither the exact modules nor numpy
+# or scipy (fock calls one LAPACK routine through ctypes on the first
+# eigensolve, after the CLI has set OpenBLAS's thread count), and the exact
+# ones load no fock.
 _NAMES = {
     "asymptotics": (
-        "DivisionByNonUnit", "ExponentBranch", "LevelEquation", "OutOfScope",
-        "QuadraticRoot", "RingElem", "UnsolvableLevel", "assemble_final_quadratic",
-        "c_recursion", "crho_closed", "gf_coefficient", "rho_quadratic_general",
-        "solve_levels", "substitute_ansatz"),
+        "ExponentBranch", "LevelEquation", "QuadraticRoot", "RingElem",
+        "assemble_final_quadratic", "c_recursion", "crho_closed", "gf_coefficient",
+        "rho_quadratic_general", "solve_levels", "substitute_ansatz"),
     "verdict": (
         "NormalizabilityReport", "Verdict", "VerdictReport", "beta_unit_modulus",
         "critical_lines", "normalizability", "symmetry_divergence", "verdict"),
@@ -49,4 +71,4 @@ class _Package(types.ModuleType):
 
 sys.modules[__name__].__class__ = _Package
 
-__all__ = sorted(_HOME)
+__all__ = sorted([*_HOME, "DivisionByNonUnit", "OutOfScope", "UnsolvableLevel"])

@@ -29,25 +29,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
+from . import DivisionByNonUnit, OutOfScope, UnsolvableLevel
 from .weyl import OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate
-
-
-class UnsolvableLevel(Exception):
-    """A level equation is neither zero nor degree <= 2 in its unknown."""
-
-    def __init__(self, level: int, residual: str, reason: str):
-        self.level = level
-        self.residual = residual
-        self.reason = reason
-        super().__init__(f"level {level}: {reason} (residual: {residual})")
-
-
-class DivisionByNonUnit(Exception):
-    """Quotient-ring division was demanded by an element that is not q*mono*g^j."""
-
-
-class OutOfScope(Exception):
-    """Requested k lies outside the asymptotic theory implemented here."""
 
 
 # ---------------------------------------------------------------------------

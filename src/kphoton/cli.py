@@ -8,11 +8,14 @@ rational strings like 7/2 and refuse decimal input; the numeric subcommands
 validation, 3 solver failure (the message carries the residual/diagnostic).
 
 Each handler imports the modules it runs: the exact subcommands load neither
-kphoton.fock nor numpy or scipy, and sweep and jc-exact load kphoton.fock but
-none of the exact modules and neither numpy nor scipy.  Of scipy's files,
+kphoton.fock nor numpy or scipy (exponents loads weyl and asymptotics, and
+only verdict adds kphoton.verdict), and sweep and jc-exact load kphoton.fock
+but none of the exact modules and neither numpy nor scipy.  Of scipy's files,
 only sweep's eigensolves open one: the LAPACK library that the compiled
 scipy.linalg._flapack extension links, through ctypes, after the BLAS thread
-count below is set.
+count below is set.  main maps the exact half's errors to exit codes by
+type; they are defined on the package, so catching them loads no exact
+module.  Only public names of the other package modules are used.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+
+from . import DivisionByNonUnit, OutOfScope, UnsolvableLevel
 
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
 # sweep bisects tridiagonal chains with LAPACK's dstebz, from the OpenBLAS
@@ -60,6 +65,8 @@ def _real(s: str) -> float:
         return float(Fraction(s)) if "/" in s else float(s)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"not a number: {s!r}") from None
+    except OverflowError:       # a rational past the largest double
+        raise CliError(f"too large for a double: {s!r}") from None
 
 
 def _size_list(s: str) -> list[int]:
@@ -136,13 +143,14 @@ def _cmd_ode(ns) -> str:
 
 
 def _cmd_exponents(ns) -> str:
-    from .verdict import _exponent_pipeline
+    from .asymptotics import solve_levels, substitute_ansatz
+    from .weyl import build_reduced_operator
     if ns.k == 2:
         raise CliError("k = 2 is out of scope for the exponent pipeline: the "
                        "Gaussian exponent is not a root of unity there; use "
                        "the sweep subcommand for the truncation numerics")
     k = _check_k(ns.k, 3, 12, "exponents")
-    _, branches = _exponent_pipeline(k)
+    branches = solve_levels(substitute_ansatz(build_reduced_operator(k), k, 5), k)
     rows = [{"gamma_power": b.gamma_power,
              "gamma": b.gamma.text(),
              "beta": b.beta.text(),
@@ -168,27 +176,7 @@ def _cmd_verdict(ns) -> str:
     rep = verdict(ns.k, ns.omega, ns.delta)
     if ns.trace:
         _write_atomic(ns.trace, rep.trace_json() + "\n")
-    if ns.format == "json":
-        return _json_text(rep.to_json_obj())
-    obj = rep.to_json_obj()
-    out = (f"k = {obj['k']}, omega = {obj['omega']}, delta = {obj['delta']}\n"
-           f"verdict: {obj['verdict']}\n")
-    if obj["critical_lines"]:
-        out += "critical lines (theta/pi): " + ", ".join(obj["critical_lines"]) + "\n"
-    for b in obj["branches"]:
-        rho = b["rho"]
-        rho_txt = rho["re"]
-        for key, unit in (("surd", ""), ("im", "i*")):
-            if key in rho:
-                coeff, disc = rho[key]["coeff"], rho[key]["disc"]
-                sign, mag = ("-", coeff[1:]) if coeff.startswith("-") else ("+", coeff)
-                rho_txt += f" {sign} {unit}{mag}*sqrt({disc})"
-        div = b["symmetry_divergent"]
-        out += (f"gamma power {b['gamma_power']}: beta = {b['beta']}, "
-                f"rho = {rho_txt}, normalizable = {str(b['normalizable']).lower()}, "
-                f"symmetry divergent = {'n/a' if div is None else str(div).lower()}\n")
-    out += f"trace: {obj['trace_ref']}\n"
-    return out
+    return _json_text(rep.to_json_obj()) if ns.format == "json" else rep.text()
 
 
 def _cmd_gf(ns) -> str:
@@ -325,14 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _asymptotics_errors(*names: str) -> tuple[type, ...]:
-    """The named exception classes of kphoton.asymptotics, or none while it
-    is not loaded: only a handler that imported it can raise them, and the
-    numeric handlers do not."""
-    module = sys.modules.get(f"{__package__}.asymptotics")
-    return tuple(getattr(module, name) for name in names) if module else ()
-
-
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
@@ -342,22 +322,19 @@ def main(argv=None) -> int:
         text = ns.func(ns)
         if ns.output:
             _write_atomic(ns.output, text)
-    except (CliError, *_asymptotics_errors("OutOfScope")) as exc:
+    except (CliError, OutOfScope, ValueError) as exc:   # ValueError: domain validation
         print(f"kphoton: {exc}", file=sys.stderr)
         return 2
-    except _asymptotics_errors("UnsolvableLevel") as exc:
+    except UnsolvableLevel as exc:
         print(f"kphoton: unsolvable level {exc.level}: {exc.reason}; "
               f"residual: {exc.residual}", file=sys.stderr)
         return 3
-    except (*_asymptotics_errors("DivisionByNonUnit"), RuntimeError) as exc:
+    except (DivisionByNonUnit, RuntimeError) as exc:
         print(f"kphoton: solver failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
         print("kphoton: out of memory; use a smaller N or n_max", file=sys.stderr)
         return 3
-    except ValueError as exc:       # domain validation inside the modules
-        print(f"kphoton: {exc}", file=sys.stderr)
-        return 2
     if not ns.output:
         sys.stdout.write(text)
     return 0

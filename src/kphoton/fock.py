@@ -59,6 +59,15 @@ def _not_finite(what: str, k: int, n) -> ValueError:
                       "use a smaller N or n_max")
 
 
+def _zeros(n: int) -> array:
+    """n zeros as an array('d'), allocated at once: a length that cannot be
+    held raises MemoryError here, as does one past sys.maxsize."""
+    try:
+        return array("d", bytes(8)) * n
+    except OverflowError:
+        raise MemoryError(f"cannot hold {n} doubles") from None
+
+
 def _diagonal(params: ModelParams, N: int) -> tuple[array, array]:
     """w*n - d and w*n + d, the energies of |n,down> and |n,up>, for n < N."""
     wn = list(map(operator.mul, repeat(params.omega), range(N)))
@@ -98,7 +107,13 @@ def _chain_entries(params: ModelParams, N: int) -> tuple[array, array, array]:
     k = params.k
     if N <= k:
         raise ValueError(f"need N > k, got N={N}, k={k}")
-    return *_diagonal(params, N), _couplings(params, N)
+    # allocated at their final length before any entry is computed, so that
+    # an N whose entries cannot be held fails at once, not once the
+    # computation has filled the memory
+    down, up, w = _zeros(N), _zeros(N), _zeros(N - k)
+    down[:], up[:] = _diagonal(params, N)
+    w[:] = _couplings(params, N)
+    return down, up, w
 
 
 def build_hkp(params: ModelParams, N: int) -> list[tuple[array, array, array]]:
@@ -212,7 +227,7 @@ def _finite_doubles(values) -> array:
 
 
 def _lowest_of_chain(stebz, diag: array, off: array, m: int) -> list[float]:
-    """The m lowest eigenvalues of one chain of length n >= 2, ascending:
+    """The m lowest eigenvalues of one chain of length n >= 1, ascending:
     dstebz("I", "E") for eigenvalues 1..m at tolerance _BISECTION_TOL, the
     call scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
     lapack_driver="stebz", tol=_BISECTION_TOL) makes."""
@@ -262,8 +277,6 @@ def lowest_eigenvalues(chains, m: int) -> list[float]:
         key = diag.tobytes(), off.tobytes()     # bitwise, so -0.0 and 0.0 stay apart
         if key == prev:
             parts.append(parts[-1])
-        elif len(diag) == 1:
-            parts.append(diag)      # a 1x1 chain is its own eigenvalue
         else:
             parts.append(_lowest_of_chain(stebz, diag, off, min(m, len(diag))))
         prev = key

@@ -182,20 +182,12 @@ class VerdictReport:
         return "sha256:" + hashlib.sha256(self.trace_json().encode()).hexdigest()
 
     def to_json_obj(self) -> dict:
-        branches = []
-        for rep in self.reports:
-            br = rep.branch
-            entry = {
-                "gamma_power": br.gamma_power,
-                "beta": br.beta.text(),
-                "rho": _rho_json(br, self.omega),
-                "normalizable": rep.normalizable,
-            }
-            try:
-                entry["symmetry_divergent"] = symmetry_divergence(br)
-            except ValueError:
-                entry["symmetry_divergent"] = None
-            branches.append(entry)
+        branches = [{"gamma_power": rep.branch.gamma_power,
+                     "beta": rep.branch.beta.text(),
+                     "rho": _rho_json(rep.branch, self.omega),
+                     "normalizable": rep.normalizable,
+                     "symmetry_divergent": _divergent(rep.branch)}
+                    for rep in self.reports]
         return {
             "k": self.k,
             "omega": str(self.omega),
@@ -205,6 +197,34 @@ class VerdictReport:
             "critical_lines": [str(t) for t in self.lines],
             "trace_ref": self.trace_ref(),
         }
+
+    def text(self) -> str:
+        """The report as the CLI's text format: the values of to_json_obj,
+        with rho written r +- s*sqrt(d), or r +- i*s*sqrt(-d) when d < 0."""
+        out = (f"k = {self.k}, omega = {self.omega}, delta = {self.delta}\n"
+               f"verdict: {self.verdict.value}\n")
+        if self.lines:
+            out += "critical lines (theta/pi): " + ", ".join(map(str, self.lines)) + "\n"
+        for rep in self.reports:
+            br = rep.branch
+            r, s, d = _rho_at(br.rho, self.omega)
+            rho = str(r)
+            if d:
+                sign, unit = "-" if s < 0 else "+", "" if d > 0 else "i*"
+                rho += f" {sign} {unit}{abs(s)}*sqrt({abs(d)})"
+            div = _divergent(br)
+            out += (f"gamma power {br.gamma_power}: beta = {br.beta.text()}, "
+                    f"rho = {rho}, normalizable = {str(rep.normalizable).lower()}, "
+                    f"symmetry divergent = {'n/a' if div is None else str(div).lower()}\n")
+        return out + f"trace: {self.trace_ref()}\n"
+
+
+def _divergent(branch: ExponentBranch) -> bool | None:
+    """symmetry_divergence, or None where it is not assessed."""
+    try:
+        return symmetry_divergence(branch)
+    except ValueError:
+        return None
 
 
 def _rho_json(branch: ExponentBranch, omega: Fraction) -> dict:

@@ -505,6 +505,16 @@ class TestPlumbing:
     def test_domain_errors_exit_2_with_message(self, capsys, args, message):
         assert run(capsys, *args) == (2, "", f"kphoton: {message}\n")
 
+    # a rational past the largest double is refused where --g, --omega,
+    # --delta and --tol are parsed, so argparse reports it with its usage
+    @pytest.mark.parametrize("option", ["--g", "--omega", "--delta", "--tol"])
+    def test_rational_past_the_doubles_exits_2(self, capsys, option):
+        big = "1" + "0" * 400 + "/3"
+        code, out, err = run(capsys, "sweep", "--k", "3", "--g", "0.1", option, big)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"kphoton sweep: error: argument {option}: too large for a double: {big!r}")
+
     def test_unknown_flag(self, capsys):
         assert run(capsys, "coeffs", "--k", "3", "--bogus")[0] == 2
 
@@ -515,24 +525,21 @@ class TestPlumbing:
         assert run(capsys, "--help")[0] == 0
 
     def test_unsolvable_level_maps_to_3(self, capsys, monkeypatch):
-        def boom(k):
+        def boom(levels, k):
             raise asymptotics.UnsolvableLevel(7, "g2*c4", "nonzero residual")
-        # the exponents handler imports the pipeline from its module on each call
-        monkeypatch.setattr(importlib.import_module("kphoton.verdict"),
-                            "_exponent_pipeline", boom)
-        code, _, err = run(capsys, "exponents", "--k", "5")
-        assert code == 3
-        assert "g2*c4" in err and "level 7" in err
+        # the exponents handler imports solve_levels from its module on each call
+        monkeypatch.setattr(asymptotics, "solve_levels", boom)
+        assert run(capsys, "exponents", "--k", "5") == (
+            3, "", "kphoton: unsolvable level 7: nonzero residual; residual: g2*c4\n")
 
     @pytest.mark.parametrize("error, code, prefix", [
         (asymptotics.OutOfScope, 2, "kphoton: "),
         (asymptotics.DivisionByNonUnit, 3, "kphoton: solver failure: "),
     ])
     def test_exact_failures_map_to_their_codes(self, capsys, monkeypatch, error, code, prefix):
-        def boom(k):
+        def boom(levels, k):
             raise error("raised in the pipeline")
-        monkeypatch.setattr(importlib.import_module("kphoton.verdict"),
-                            "_exponent_pipeline", boom)
+        monkeypatch.setattr(asymptotics, "solve_levels", boom)
         assert run(capsys, "exponents", "--k", "5") == (
             code, "", f"{prefix}raised in the pipeline\n")
 
@@ -576,6 +583,37 @@ class TestPlumbing:
                              "--n-max", "100000000000")
         assert (code, out) == (3, "")
         assert err.startswith("kphoton:") and "memory" in err
+
+    # Each size is past what a 1 GiB address space holds, and the very last
+    # one past sys.maxsize.  The children are started by a small interpreter
+    # rather than by pytest: a child's ru_maxrss counts the memory of the
+    # process it was forked from.
+    _CAPPED = (
+        "import json, os, resource, subprocess, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "runs = []\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    proc = subprocess.Popen([sys.executable, '-m', 'kphoton.cli', *args],\n"
+        "                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)\n"
+        "    with proc.stdout, proc.stderr:\n"
+        "        out, err = proc.stdout.read(), proc.stderr.read()\n"
+        "    _, status, usage = os.wait4(proc.pid, 0)\n"
+        "    proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "    runs.append([proc.returncode, out, err, usage.ru_maxrss])\n"
+        "print(json.dumps(runs))\n")
+
+    def test_huge_sizes_fail_fast(self):
+        commands = [["jc-exact", "--k", "2", "--g", "0.3", "--n-max", "100000000000"],
+                    ["sweep", "--k", "3", "--g", "0.1", "--N", "10,20,100000000000"],
+                    ["jc-exact", "--k", "100000000000000000000", "--g", "0.1",
+                     "--n-max", "0"]]
+        proc = subprocess.run([sys.executable, "-c", self._CAPPED, json.dumps(commands)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for args, (code, out, err, maxrss_kb) in zip(commands, json.loads(proc.stdout)):
+            assert (code, out, err) == (
+                3, "", "kphoton: out of memory; use a smaller N or n_max\n"), args
+            assert maxrss_kb < 200 * 1024, (args, maxrss_kb)
 
     def test_module_entrypoint(self):
         proc = subprocess.run(
@@ -633,6 +671,18 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == f"{code} False False"
         assert trace.exists() == (str(trace) in args)
+
+    # exponents certifies nothing: it loads neither the verdict module nor
+    # the hashlib that the verdict's trace reference needs
+    def test_exponents_load_no_verdict_module(self):
+        script = ("import sys; from kphoton.cli import main; "
+                  "code = main(sys.argv[1:]); "
+                  "print(code, sorted({'kphoton.verdict', 'hashlib'} & set(sys.modules)), "
+                  "'kphoton.asymptotics' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", script, "exponents", "--k", "4"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 [] True"
 
     # neither loads numpy, the scipy package or an exact module: sweep's
     # eigensolves call LAPACK through ctypes, and jc-exact is closed form

@@ -301,7 +301,8 @@ class TestLowestEigenvalues:
 
     def test_lapack_failure_names_the_chain_length(self, monkeypatch):
         def failing(*args):
-            args[17]._obj.value = 4     # INFO
+            if args[2]._obj.value == 3:     # N: the 1x1 chain goes through
+                args[17]._obj.value = 4     # INFO
         monkeypatch.setattr(fock, "_dstebz", lambda: failing)
         chains = [((0,), (1.0,), ()), ((1, 2, 3), (0.0, 1.0, 2.0), (0.5, 0.5))]
         with pytest.raises(RuntimeError, match="eigensolver failed on a chain of length 3"):
@@ -551,6 +552,32 @@ class TestLazyImport:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_exact_errors_live_on_the_package(self):
+        # a caller catches the exact half's failures without loading it, and
+        # kphoton.asymptotics, which raises them, exports the same classes
+        script = (
+            "import sys, kphoton\n"
+            "errors = [kphoton.UnsolvableLevel, kphoton.DivisionByNonUnit, kphoton.OutOfScope]\n"
+            "assert 'kphoton.asymptotics' not in sys.modules\n"
+            "from kphoton import asymptotics\n"
+            "assert errors == [asymptotics.UnsolvableLevel, asymptotics.DivisionByNonUnit,\n"
+            "                  asymptotics.OutOfScope]\n"
+            "print(' '.join(kphoton.__all__))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "Classification", "DivisionByNonUnit", "ExponentBranch", "LevelEquation",
+            "ModelParams", "NormalizabilityReport", "OperatorPoly", "OutOfScope",
+            "ParamPoly", "QuadraticRoot", "RingElem", "SpectrumSweep", "UnsolvableLevel",
+            "Verdict", "VerdictReport", "a_coeff", "assemble_final_quadratic",
+            "beta_unit_modulus", "build_hkp", "build_reduced_operator", "c_recursion",
+            "classify_convergence", "convergence_sweep", "crho_closed", "critical_lines",
+            "gf_coefficient", "jck_exact_spectrum", "lowest_eigenvalues",
+            "normalizability", "rho_quadratic_general", "solve_levels",
+            "substitute_ansatz", "sweep_csv", "sweep_summary", "symmetry_divergence",
+            "verdict"]
 
     def test_verdict_name_stays_the_function(self):
         # importing the submodule kphoton.verdict, as cli's verdict handler
