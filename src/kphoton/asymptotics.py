@@ -25,7 +25,7 @@ coefficients; w, d, E live inside the ParamPoly coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -293,17 +293,18 @@ def _c0_derivatives(max_j: int, depth: int) -> list[list[dict]]:
 _MAX_DEPTH = 32
 
 
-@dataclass(frozen=True, eq=False)
-class LevelEquation:
+class LevelEquation(namedtuple("LevelEquation", "level parts")):
     """Level l: the coefficient of z^(r + 2k - l), sum_n c_n L_(l-n)(g, b, r - n).
 
     parts is the tuple of c_0 parts L_m, m = 0..depth, as free-g RingElems,
     that all levels of one substitute_ansatz call share.  coeff writes out the
-    shifted copies on its first read.
+    shifted copies on its first read and keeps them in the instance dict.
     """
 
-    level: int
-    parts: tuple = field(repr=False)
+    __hash__ = None     # its parts are unhashable
+
+    def __repr__(self):
+        return f"LevelEquation(level={self.level})"
 
     @cached_property
     def coeff(self) -> RingElem:
@@ -518,22 +519,19 @@ def _gamma_root(k: int, m: int) -> RingElem:
     return RingElem.gamma(2 * m + 1, k)
 
 
-@dataclass(frozen=True)
-class ExponentBranch:
+class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_index resonant",
+                                defaults=((), 0, ()))):
     """One asymptotic branch, instantiated at the gamma root gamma_index.
 
-    While solve_levels runs, beta and rho are None until a level fixes them;
-    every branch it returns has both.
+    gamma_index is m, for the root exp(i(2m+1)pi/k) of g^k = -1.  c holds the
+    known tail c_0, c_1, ..., with c_0 = 1 the normalization; rho_index is
+    rho's position among its level's roots, and resonant lists the c_n that
+    vanishing levels left free and _advance pinned to 0.  While solve_levels
+    runs, beta and rho are None until a level fixes them; every branch it
+    returns has both.
     """
 
-    k: int
-    gamma_index: int          # m: the root exp(i(2m+1)pi/k) of g^k = -1
-    beta: RingElem | None
-    rho: QuadraticRoot | None
-    c: tuple[RingElem, ...] = field(default=())   # c_0 = 1 normalization
-    rho_index: int = 0
-    resonant: tuple[int, ...] = ()
-
+    __slots__ = ()
     __hash__ = None     # RingElem and QuadraticRoot are unhashable
 
     @property
@@ -656,11 +654,11 @@ def _advance(branch: ExponentBranch, eq: RingElem, level: int,
     if branch.beta is None:
         if not eq.max_b():
             raise UnsolvableLevel(level, eq.text(), "nonzero level before b was determined")
-        return [replace(branch, beta=b) for b in _solve_beta(eq, level)]
+        return [branch._replace(beta=b) for b in _solve_beta(eq, level)]
     if branch.rho is None:
         if not eq.max_r():
             raise UnsolvableLevel(level, eq.text(), "nonzero level before r was determined")
-        return [replace(branch, rho=r, rho_index=i)
+        return [branch._replace(rho=r, rho_index=i)
                 for i, r in enumerate(_solve_rho(eq, level))]
     unknown = eq.c_indices()
     if not unknown:
@@ -673,7 +671,7 @@ def _advance(branch: ExponentBranch, eq: RingElem, level: int,
         cs.append(RingElem.zero(branch.k))
     if len(cs) <= n_max:
         cs.append(_solve_c(eq, target, level))
-    return [replace(branch, c=tuple(cs), resonant=tuple(resonant))]
+    return [branch._replace(c=tuple(cs), resonant=tuple(resonant))]
 
 
 def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
@@ -711,8 +709,8 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         partial = nxt
 
     # root-major, and _advance keeps the beta and rho roots in solve order
-    branches = [replace(br, gamma_index=m, beta=br.beta.subs("g", groot),
-                        c=tuple(ci.subs("g", groot) for ci in br.c))
+    branches = [br._replace(gamma_index=m, beta=br.beta.subs("g", groot),
+                            c=tuple(ci.subs("g", groot) for ci in br.c))
                 for m, groot in enumerate(gamma_root_elements(k)) for br in partial]
 
     for br in branches[: max(1, len(branches) // k)]:

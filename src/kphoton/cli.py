@@ -85,6 +85,26 @@ def _check_k(k: int, lo: int, hi: int, what: str) -> int:
     return k
 
 
+# a value argparse would read as an option: it takes only -N and -N.M as
+# negative numbers
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each long option that a negative value such as -7/2 or -1e-3
+    follows written --opt=value, so argparse passes the value to the option.
+    --help (or a prefix of it) and the -- that ends the options take none."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE.match(tok) and prev.startswith("--") and "=" not in prev
+                and not "--help".startswith(prev)):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -315,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:       # argparse reports its own message
         return int(exc.code or 0)
     try:

@@ -28,30 +28,29 @@ import operator
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """k-photon order, coupling strength, mode frequency, level splitting."""
+class ModelParams(namedtuple("ModelParams", "k g omega delta")):
+    """k-photon order, coupling strength, mode frequency, level splitting.
 
-    k: int
-    g: float
-    omega: float
-    delta: float
+    g, omega and delta are stored as floats.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        for name in ("g", "omega", "delta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(getattr(self, n)) for n in ("g", "omega", "delta")):
+    __slots__ = ()
+
+    def __new__(cls, k: int, g: float, omega: float, delta: float):
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        g, omega, delta = float(g), float(omega), float(delta)
+        if not all(map(math.isfinite, (g, omega, delta))):
             raise ValueError("parameters must be finite")
-        if self.g < 0:
+        if g < 0:
             raise ValueError("coupling g must be nonnegative")
-        if self.omega <= 0:
+        if omega <= 0:
             raise ValueError("omega must be positive")
+        return super().__new__(cls, k, g, omega, delta)
 
 
 def _not_finite(what: str, k: int, n) -> ValueError:
@@ -293,12 +292,12 @@ class Classification(enum.Enum):
     Inconclusive = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class SpectrumSweep:
-    params: ModelParams
-    N_list: tuple[int, ...]
-    eigenvalues: tuple[tuple[float, ...], ...]   # per N, ascending, length m
-    tol: float
+class SpectrumSweep(namedtuple("SpectrumSweep", "params N_list eigenvalues tol")):
+    """Spectra of params truncated at each N in N_list: eigenvalues holds,
+    per N, the m lowest in ascending order; tol is the classification
+    tolerance."""
+
+    __slots__ = ()
 
     @property
     def classification(self) -> Classification:

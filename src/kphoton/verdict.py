@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,10 +79,6 @@ def _sign_x_plus_y_sqrt_d(x: Fraction, y: Fraction, d: Fraction) -> int:
     """Exact sign of x + y*sqrt(d) for rational x, y and d >= 0."""
     if d < 0:
         raise ValueError("discriminant must be nonnegative here")
-    if y == 0 or d == 0:
-        return (x > 0) - (x < 0)
-    if x == 0:
-        return 1 if y > 0 else -1
     if x > 0 and y > 0:
         return 1
     if x < 0 and y < 0:
@@ -109,13 +105,11 @@ def _rho_at(rho: QuadraticRoot, omega: Fraction) -> tuple[Fraction, Fraction, Fr
             _eval_param(rho.disc, omega, "rho discriminant"))
 
 
-@dataclass(frozen=True)
-class NormalizabilityReport:
-    """Branch-level outcome of the Re(rho) < -1/2 test at rational omega."""
+class NormalizabilityReport(namedtuple("NormalizabilityReport", "branch sign_vs_threshold")):
+    """Branch-level outcome of the Re(rho) < -1/2 test at rational omega:
+    sign_vs_threshold is the certified sign of Re(rho) + 1/2."""
 
-    branch: ExponentBranch
-    sign_vs_threshold: int         # certified sign of Re(rho) + 1/2
-
+    __slots__ = ()
     __hash__ = None     # its branch is unhashable
 
     @property
@@ -159,15 +153,11 @@ def _exponent_pipeline(k: int) -> tuple[tuple[LevelEquation, ...], tuple[Exponen
     return tuple(levels), tuple(solve_levels(levels, k))
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    k: int
-    omega: Fraction
-    delta: Fraction
-    verdict: Verdict
-    reports: tuple[NormalizabilityReport, ...]
-    trace: dict
+class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports trace")):
+    """The verdict at (k, omega, delta): one NormalizabilityReport per branch
+    in reports, and the derivation in the trace dict."""
 
+    __slots__ = ()
     __hash__ = None     # its trace is a dict
 
     @property

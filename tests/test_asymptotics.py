@@ -225,6 +225,15 @@ class TestSubstituteAnsatz:
         with pytest.raises(ValueError, match="exceeds the cap 32"):
             substitute_ansatz(op, 3, 33)
 
+    def test_level_record(self):
+        # a level prints without its parts, which every level shares
+        lv = substitute_ansatz(build_reduced_operator(3), 3)[3]
+        assert repr(lv) == "LevelEquation(level=3)"
+        with pytest.raises(TypeError, match="unhashable type: 'LevelEquation'"):
+            hash(lv)
+        with pytest.raises(AttributeError):
+            lv.level = 4
+
     def test_term_past_window_rejected(self):
         # z^i Dz^j with i + j > 2k would need series slots below the window
         op = op_sum(build_reduced_operator(3), OperatorPoly({(6, 1): ParamPoly.rational(1)}))

@@ -1,6 +1,5 @@
 """Exit codes, exactness boundary, output formats, determinism."""
 
-import dataclasses
 import hashlib
 import importlib
 import importlib.machinery
@@ -178,7 +177,10 @@ class TestVerdict:
         # rho = -5/2 +- i*1/4*sqrt(9): a complex pair
         ("5", "rho = -5/2 - i*1/4*sqrt(9),",
          "550f8e279c83d1d3ffddc07b3a0cf3ce8ff7ac045d4d30c1dc946fc72fab56a5"),
-    ], ids=["surd", "imaginary"])
+        # a disc in (0, 1] is still a real surd
+        ("31/8", "rho = -5/2 + 1/4*sqrt(63/64),",
+         "fbcf2899c5add45024737050b083403c599ba85b008b129b01bb3ad2fad7eb76"),
+    ], ids=["surd", "imaginary", "surd-below-one"])
     def test_k4_text_rho_forms(self, capsys, omega, rho, digest):
         code, out, _ = run(capsys, "verdict", "--k", "4", "--omega", omega,
                            "--delta", "0")
@@ -485,8 +487,8 @@ class TestPlumbing:
         # kphoton.verdict the attribute is the function; patch the module
         mod = importlib.import_module("kphoton.verdict")
         real = mod.normalizability
-        monkeypatch.setattr(mod, "normalizability", lambda b, omega: dataclasses.replace(
-            real(b, omega), sign_vs_threshold=1))
+        monkeypatch.setattr(mod, "normalizability",
+                            lambda b, omega: real(b, omega)._replace(sign_vs_threshold=1))
         code, out, err = run(capsys, "verdict", "--k", "3", "--omega", "1",
                              "--delta", "0")
         assert code == 3 and out == ""
@@ -501,7 +503,10 @@ class TestPlumbing:
          "verdict supports 1 <= k <= 12, got 0"),
         (("verdict", "--k", "13", "--omega", "1", "--delta", "0"),
          "verdict supports 1 <= k <= 12, got 13"),
-    ], ids=["sweep-g", "jc-exact-k", "sweep-N", "verdict-k0", "verdict-k13"])
+        (("verdict", "--k", "3", "--omega", "-1/2", "--delta", "0"),
+         "omega must be positive"),
+    ], ids=["sweep-g", "jc-exact-k", "sweep-N", "verdict-k0", "verdict-k13",
+            "verdict-negative-omega"])
     def test_domain_errors_exit_2_with_message(self, capsys, args, message):
         assert run(capsys, *args) == (2, "", f"kphoton: {message}\n")
 
@@ -514,6 +519,24 @@ class TestPlumbing:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == (
             f"kphoton sweep: error: argument {option}: too large for a double: {big!r}")
+
+    # argparse reads -1/2 and -1e-3 as options, not values; main hands a
+    # separate negative value to the option before it, as --delta=... does
+    @pytest.mark.parametrize("args", [
+        ("verdict", "--k", "4", "--omega", "1", "--delta", "-1/2"),
+        ("sweep", "--k", "2", "--g", "0.1", "--delta", "-1/2", "--N", "40,80,160"),
+        ("sweep", "--k", "2", "--g", "0.1", "--delta", "-1e-3", "--N", "40,80,160"),
+    ], ids=["verdict", "sweep", "sweep-exponent"])
+    def test_negative_value_as_separate_argument(self, capsys, args):
+        i = args.index("--delta")
+        joined = (*args[:i], f"--delta={args[i + 1]}", *args[i + 2:])
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        assert run(capsys, *joined) == (0, out, "")
+
+    def test_help_ignores_a_negative_value_after_it(self, capsys):
+        code, out, _ = run(capsys, "verdict", "--help", "-1/2")
+        assert code == 0 and out.startswith("usage: kphoton verdict")
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "coeffs", "--k", "3", "--bogus")[0] == 2
@@ -648,10 +671,12 @@ class TestPlumbing:
         assert proc.stdout.splitlines()[-1] == want
 
     # Each run is a fresh interpreter: main() is called in-process there so
-    # sys.modules shows exactly what the subcommand imported.
+    # sys.modules shows exactly what the subcommand imported.  No subcommand
+    # loads dataclasses or the inspect module that it imports.
     _REPORT_LOADS = ("import sys; from kphoton.cli import main; "
                      "code = main(sys.argv[1:]); "
                      "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, "
+                     "sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
                      "file=sys.stderr)")
 
     @pytest.mark.parametrize("args, code", [
@@ -669,23 +694,24 @@ class TestPlumbing:
         proc = subprocess.run([sys.executable, "-c", self._REPORT_LOADS, *args],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == f"{code} False False"
+        assert proc.stderr.splitlines()[-1] == f"{code} False False []"
         assert trace.exists() == (str(trace) in args)
 
     # exponents certifies nothing: it loads neither the verdict module nor
-    # the hashlib that the verdict's trace reference needs
+    # the hashlib that the verdict's trace reference needs, nor dataclasses
     def test_exponents_load_no_verdict_module(self):
         script = ("import sys; from kphoton.cli import main; "
                   "code = main(sys.argv[1:]); "
-                  "print(code, sorted({'kphoton.verdict', 'hashlib'} & set(sys.modules)), "
+                  "print(code, sorted({'kphoton.verdict', 'hashlib', 'dataclasses', "
+                  "'inspect'} & set(sys.modules)), "
                   "'kphoton.asymptotics' in sys.modules, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script, "exponents", "--k", "4"],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 [] True"
 
-    # neither loads numpy, the scipy package or an exact module: sweep's
-    # eigensolves call LAPACK through ctypes, and jc-exact is closed form
+    # neither loads numpy, the scipy package, an exact module or dataclasses:
+    # sweep's eigensolves call LAPACK through ctypes, and jc-exact is closed form
     @pytest.mark.parametrize("args", [
         ("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"),
         ("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"),
@@ -694,7 +720,8 @@ class TestPlumbing:
         script = ("import sys; from kphoton.cli import main; "
                   "code = main(sys.argv[1:]); "
                   "print(code, sorted({'numpy', 'scipy', 'kphoton.asymptotics', "
-                  "'kphoton.verdict', 'kphoton.weyl'} & set(sys.modules)), "
+                  "'kphoton.verdict', 'kphoton.weyl', 'dataclasses', 'inspect'} "
+                  "& set(sys.modules)), "
                   "'kphoton.fock' in sys.modules, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True)

@@ -46,6 +46,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**bad)
 
+    def test_fields_are_read_only(self):
+        p = ModelParams(2, 1, 1, 0)
+        sweep = SpectrumSweep(p, (10, 20, 30), ((0.0, 1.0),) * 3, 1e-6)
+        for obj, field in ((p, "g"), (sweep, "tol")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 2.0)
+
 
 def _dense_hkp(p, N):
     """The truncated sx-coupled H written out from the fock docstring:

@@ -9,16 +9,16 @@ rho = -5/2 branches end in UnsolvableLevel at level 8), reading
 ParamPoly.terms as the benchmark's size probes do.  Every module-level
 function and method whose code object lives in a src/kphoton file must be
 entered; a name that only the tests call belongs in tests/oracles.py.
-Dataclass-generated methods are compiled from "<string>" and fall out.
+The methods collections.namedtuple generates live on the records' base
+classes and fall out.
 
-Under the same traffic every dataclass field and __slots__ entry declared
-in src/kphoton must be read by code other than the generated methods and
-dataclasses.replace: a value that nothing reads, or that its object can
-compute, is not stored.
+Under the same traffic every record field and __slots__ entry declared in
+src/kphoton must be read as an attribute; _replace and tuple unpacking do
+not count: a value that nothing reads, or that its object can compute, is
+not stored.
 """
 
 import contextlib
-import dataclasses
 import importlib
 import inspect
 import io
@@ -129,15 +129,13 @@ def test_every_shipped_function_runs(tmp_path):
 
 
 def _stored():
-    """{class: its dataclass fields and __slots__ entries} for every class
+    """{class: its record fields and __slots__ entries} for every class
     defined in a src/kphoton module."""
     out = {}
     for name in MODULES:
         for obj in vars(importlib.import_module(name)).values():
             if inspect.isclass(obj) and obj.__module__ == name:
-                attrs = set(vars(obj).get("__slots__", ()))
-                if dataclasses.is_dataclass(obj):
-                    attrs.update(f.name for f in dataclasses.fields(obj))
+                attrs = {*vars(obj).get("__slots__", ()), *getattr(obj, "_fields", ())}
                 if attrs:
                     out[obj] = attrs
     return out
@@ -154,9 +152,7 @@ def test_every_field_is_read(tmp_path):
 
         def getattribute(self, attr):
             if attr in stored[cls]:
-                caller = sys._getframe(1).f_code.co_filename
-                if caller != "<string>" and not caller.endswith("dataclasses.py"):
-                    read.add(f"{cls.__qualname__}.{attr}")
+                read.add(f"{cls.__qualname__}.{attr}")
             return get(self, attr)
         return getattribute
 

@@ -1,7 +1,6 @@
 """Critical lines, normalizability certificates and per-k verdicts."""
 
 import cmath
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -86,7 +85,7 @@ class TestBetaUnitModulus:
         _, branches = _exponent_pipeline(3)
         b = next(br for br in branches if br.gamma_index == 0)
         assert beta_unit_modulus(b)
-        assert not beta_unit_modulus(dataclasses.replace(b, gamma_index=1))
+        assert not beta_unit_modulus(b._replace(gamma_index=1))
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_pipeline_invariant(self, k):
@@ -135,6 +134,8 @@ class TestCertifiedSign:
         (F(7), F(0), F(3), 1),
         (F(-7), F(2), F(0), -1),
         (F(0), F(0), F(5), 0),
+        (F(2), F(1), F(4), 1),        # same signs: 2 + 2, not x^2 = y^2*d
+        (F(-2), F(-1), F(4), -1),
     ])
     def test_cases(self, x, y, d, expect):
         assert _sign_x_plus_y_sqrt_d(x, y, d) == expect
@@ -195,6 +196,11 @@ class TestNormalizability:
             normalizability(branches[0], 0)
         with pytest.raises(ValueError):
             normalizability(branches[0], F(-1, 2))
+        # k = 1 and 2 compute no branch but still check omega
+        for k in (1, 2):
+            for omega in (0, -1):
+                with pytest.raises(ValueError, match="omega must be positive"):
+                    verdict(k, omega, 0)
 
 
 class TestSymmetryDivergence:
@@ -239,11 +245,13 @@ class TestVerdict:
 
     def test_records_are_unhashable(self):
         # each holds an unhashable value, so it declares itself unhashable
-        # rather than fail inside a field
+        # rather than fail inside a field; no field can be assigned
         rep = verdict(3, 1, 0)
         for obj in (rep, rep.reports[0], rep.reports[0].branch):
             with pytest.raises(TypeError, match=f"unhashable type: '{type(obj).__name__}'"):
                 hash(obj)
+            with pytest.raises(AttributeError):
+                setattr(obj, obj._fields[-1], None)
 
     def test_k2_out_of_scope(self):
         rep = verdict(2, 1, 1)
@@ -292,6 +300,9 @@ class TestVerdict:
     def test_json_rho_shapes_track_omega(self):
         surd = verdict(4, 1, 0).to_json_obj()["branches"][0]["rho"]
         assert set(surd) == {"re", "surd"} and surd["surd"]["disc"] == "15"
+        # a disc in (0, 1] is still a real surd
+        below_one = verdict(4, F(31, 8), 0).to_json_obj()["branches"][0]["rho"]
+        assert below_one == {"re": "-5/2", "surd": {"coeff": "1/4", "disc": "63/64"}}
         double = verdict(4, 4, 0).to_json_obj()["branches"][0]["rho"]
         assert set(double) == {"re"} and double["re"] == "-5/2"
         cplx = verdict(4, 5, 0).to_json_obj()["branches"][0]["rho"]

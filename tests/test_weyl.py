@@ -39,6 +39,7 @@ class TestParamPoly:
     def test_zero_stripping(self):
         p = ParamPoly({(1, 0, 0): Fraction(0)})
         assert p.is_zero()
+        assert p.constant_value() == ParamPoly().constant_value() == 0
         assert (W - W).is_zero()
 
     def test_arithmetic(self):
