@@ -79,10 +79,12 @@ def _size_list(s: str) -> list[int]:
     return sizes
 
 
-def _check_k(k: int, lo: int, hi: int, what: str) -> int:
-    if not lo <= k <= hi:
-        raise CliError(f"{what} supports {lo} <= k <= {hi}, got {k}")
-    return k
+def _check_k(ns) -> int:
+    """ns.k, if it is in the range the subcommand's _COMMANDS row gives."""
+    lo, hi = ns.k_range
+    if not lo <= ns.k <= hi:
+        raise CliError(f"{ns.command} supports {lo} <= k <= {hi}, got {ns.k}")
+    return ns.k
 
 
 # a value argparse would read as an option: it takes only -N and -N.M as
@@ -137,7 +139,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _cmd_coeffs(ns) -> str:
     from .weyl import a_coeff
-    k = _check_k(ns.k, 1, 64, "coeffs")
+    k = _check_k(ns)
     rows = [(j, a_coeff(j, k)) for j in range(1, k + 1)]
     if ns.format == "json":
         return _json_text({"k": k, "coefficients": [{"j": j, "a": int(a)} for j, a in rows]})
@@ -148,18 +150,15 @@ def _cmd_coeffs(ns) -> str:
 
 def _cmd_ode(ns) -> str:
     from .weyl import build_reduced_operator
-    k = _check_k(ns.k, 2, 64, "ode")
+    k = _check_k(ns)
     op = build_reduced_operator(k)
+    if ns.format == "text":
+        return op.text() + "\n"
+    terms = op.sorted_terms()
     if ns.format == "json":
-        terms = [{"z": i, "dz": j, "coeff": p.text()}
-                 for (i, j), p in sorted(op.terms.items())]
-        return _json_text({"k": k, "terms": terms})
-    if ns.format == "csv":
-        out = "z,dz,coeff\n"
-        for (i, j), p in sorted(op.terms.items()):
-            out += f'{i},{j},"{p.text()}"\n'
-        return out
-    return op.text() + "\n"
+        return _json_text({"k": k, "terms": [{"z": i, "dz": j, "coeff": p.text()}
+                                             for (i, j), p in terms]})
+    return "z,dz,coeff\n" + "".join(f'{i},{j},"{p.text()}"\n' for (i, j), p in terms)
 
 
 def _cmd_exponents(ns) -> str:
@@ -169,7 +168,7 @@ def _cmd_exponents(ns) -> str:
         raise CliError("k = 2 is out of scope for the exponent pipeline: the "
                        "Gaussian exponent is not a root of unity there; use "
                        "the sweep subcommand for the truncation numerics")
-    k = _check_k(ns.k, 3, 12, "exponents")
+    k = _check_k(ns)
     branches = solve_levels(substitute_ansatz(build_reduced_operator(k), k, 5), k)
     rows = [{"gamma_power": b.gamma_power,
              "gamma": b.gamma.text(),
@@ -192,8 +191,7 @@ def _cmd_exponents(ns) -> str:
 
 def _cmd_verdict(ns) -> str:
     from .verdict import verdict
-    _check_k(ns.k, 1, 12, "verdict")
-    rep = verdict(ns.k, ns.omega, ns.delta)
+    rep = verdict(_check_k(ns), ns.omega, ns.delta)
     if ns.trace:
         _write_atomic(ns.trace, rep.trace_json() + "\n")
     return _json_text(rep.to_json_obj()) if ns.format == "json" else rep.text()
@@ -201,7 +199,7 @@ def _cmd_verdict(ns) -> str:
 
 def _cmd_gf(ns) -> str:
     from . import asymptotics
-    k = _check_k(ns.k, 5, 12, "gf")
+    k = _check_k(ns)
     c2k_r2, c2k_r, ck_r2, ck_r = asymptotics.crho_closed(k)
     c0 = asymptotics.gf_coefficient(2 * k - 2)
     lin, const = asymptotics.assemble_final_quadratic(k)
@@ -239,17 +237,17 @@ def _cmd_sweep(ns) -> str:
     from . import fock
     params = fock.ModelParams(ns.k, ns.g, ns.omega, ns.delta)
     sweep = fock.convergence_sweep(params, ns.sizes, m=ns.m, tol=ns.tol)
+    if ns.format == "csv":
+        return fock.sweep_csv(sweep)
+    summary = fock.sweep_summary(sweep)
     if ns.format == "json":
-        return _json_text(fock.sweep_summary(sweep))
-    if ns.format == "text":
-        summary = fock.sweep_summary(sweep)
-        lines = [f"k = {params.k}, g = {params.g:g}, omega = {params.omega:g}, "
-                 f"delta = {params.delta:g}",
-                 f"classification: {summary['classification']}"]
-        for N, e in zip(sweep.N_list, summary["E_min_series"]):
-            lines.append(f"N = {N}: E_min = {'%.17g' % e}")
-        return "\n".join(lines) + "\n"
-    return fock.sweep_csv(sweep)
+        return _json_text(summary)
+    lines = [f"k = {params.k}, g = {params.g:g}, omega = {params.omega:g}, "
+             f"delta = {params.delta:g}",
+             f"classification: {summary['classification']}"]
+    for N, e in zip(sweep.N_list, summary["E_min_series"]):
+        lines.append(f"N = {N}: E_min = {'%.17g' % e}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_jc_exact(ns) -> str:
@@ -259,12 +257,8 @@ def _cmd_jc_exact(ns) -> str:
         raise CliError("n-max must be >= 0")
     vals = fock.jck_exact_spectrum(params, ns.n_max)
     if ns.format == "json":
-        return _json_text({
-            "params": {"k": params.k, "g": params.g,
-                       "omega": params.omega, "delta": params.delta},
-            "n_max": ns.n_max,
-            "eigenvalues": vals,
-        })
+        return _json_text({"params": params._asdict(), "n_max": ns.n_max,
+                           "eigenvalues": vals})
     if ns.format == "text":
         return "".join(f"E_{i} = {'%.17g' % v}\n" for i, v in enumerate(vals))
     return "index,eigenvalue\n" + "".join(
@@ -273,63 +267,47 @@ def _cmd_jc_exact(ns) -> str:
 
 # ---------------------------------------------------------------------------
 
+# --g, --omega and --delta of the numeric subcommands, which accept decimals
+_MODEL = (("--g", dict(type=_real, required=True)), ("--omega", dict(type=_real, default=1.0)),
+          ("--delta", dict(type=_real, default=0.0)))
+
+# One row per subcommand, in the order --help lists them: its handler, its
+# --format choices (the first is the default), the k range _check_k accepts
+# (None where ModelParams checks k), its help and its options after --k.
+_COMMANDS = {
+    "coeffs": (_cmd_coeffs, "text csv json", (1, 64), "cross-term weight table a_1..a_k", ()),
+    "ode": (_cmd_ode, "text csv json", (2, 64), "normal-ordered reduced operator", ()),
+    "exponents": (_cmd_exponents, "text csv json", (3, 64), "asymptotic exponent branches", ()),
+    "verdict": (_cmd_verdict, "text json", (1, 64), "self-adjointness verdict with trace", (
+        ("--omega", dict(type=_rational, required=True)),
+        ("--delta", dict(type=_rational, required=True)),
+        ("--trace", dict(metavar="PATH", help="also write the full derivation trace JSON to PATH")))),
+    "gf": (_cmd_gf, "text csv json", (5, 32),
+           "generating-function coefficient table with oracle check", ()),
+    "sweep": (_cmd_sweep, "csv json text", None, "truncation convergence sweep", _MODEL + (
+        ("--N", dict(dest="sizes", type=_size_list, default=(100, 200, 400, 800),
+                     metavar="N1,N2,...", help="strictly increasing truncation sizes")),
+        ("--m", dict(type=int, default=10, help="eigenvalues kept per size")),
+        ("--tol", dict(type=_real, default=1e-6)))),
+    "jc-exact": (_cmd_jc_exact, "csv json text", None, "closed-form number-conserving spectrum",
+                 _MODEL + (("--n-max", dict(dest="n_max", type=int, default=20)),)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kphoton",
         description="Exact asymptotics and truncation numerics for k-photon couplings")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, func, fmt_default, fmt_choices, help_):
+    for name, (func, formats, k_range, help_, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-        p.add_argument("--output", default=None, metavar="PATH",
+        p.set_defaults(func=func, k_range=k_range)
+        p.add_argument("--format", choices=formats.split(), default=formats.split()[0])
+        p.add_argument("--output", metavar="PATH",
                        help="write atomically to PATH instead of stdout")
-        return p
-
-    p = add("coeffs", _cmd_coeffs, "text", ("text", "csv", "json"),
-            "cross-term weight table a_1..a_k")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("ode", _cmd_ode, "text", ("text", "csv", "json"),
-            "normal-ordered reduced operator")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("exponents", _cmd_exponents, "text", ("text", "csv", "json"),
-            "asymptotic exponent branches")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("verdict", _cmd_verdict, "text", ("text", "json"),
-            "self-adjointness verdict with trace")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--omega", type=_rational, required=True)
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="also write the full derivation trace JSON to PATH")
-
-    p = add("gf", _cmd_gf, "text", ("text", "csv", "json"),
-            "generating-function coefficient table with oracle check")
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("sweep", _cmd_sweep, "csv", ("csv", "json", "text"),
-            "truncation convergence sweep")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=_real, required=True)
-    p.add_argument("--omega", type=_real, default=1.0)
-    p.add_argument("--delta", type=_real, default=0.0)
-    p.add_argument("--N", dest="sizes", type=_size_list, default=[100, 200, 400, 800],
-                   metavar="N1,N2,...", help="strictly increasing truncation sizes")
-    p.add_argument("--m", type=int, default=10, help="eigenvalues kept per size")
-    p.add_argument("--tol", type=_real, default=1e-6)
-
-    p = add("jc-exact", _cmd_jc_exact, "csv", ("csv", "json", "text"),
-            "closed-form number-conserving spectrum")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=_real, required=True)
-    p.add_argument("--omega", type=_real, default=1.0)
-    p.add_argument("--delta", type=_real, default=0.0)
-    p.add_argument("--n-max", dest="n_max", type=int, default=20)
-
+        p.add_argument("--k", type=int, required=True)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return top
 
 

@@ -52,6 +52,11 @@ class ModelParams(namedtuple("ModelParams", "k g omega delta")):
             raise ValueError("omega must be positive")
         return super().__new__(cls, k, g, omega, delta)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__'s checks
+        return cls(*iterable)
+
 
 def _not_finite(what: str, k: int, n) -> ValueError:
     return ValueError(f"{what} is not a finite double at k={k}, n={n}; "

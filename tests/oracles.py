@@ -22,6 +22,9 @@ another way, kept here so that the package ships only what its commands run:
 - stebz_reference: scipy.linalg.eigvalsh_tridiagonal on each chain, the
   route fock.lowest_eigenvalues took before it called LAPACK's dstebz
   directly; its values must be bit-identical to the package's.
+- tail_log_sums: the first-kind polynomials of one chain at complex z,
+  summed over three doubling windows, whose decay test_tails compares with
+  the exact half's rho.  It moves into the package when a command needs it.
 - op_sum, scale (of a quotient-ring element) and satisfies_quadratic: the
   builders of expected operators and ring elements, and the exact
   back-substitution of an asymptotics.QuadraticRoot into a given quadratic.
@@ -242,3 +245,30 @@ def displaced_oscillator_oracle(g: float, omega: float, m: int) -> list[float]:
         raise ValueError("m must be >= 0")
     shift = g * g / omega
     return [omega * (i // 2) - shift for i in range(m)]
+
+
+def tail_log_sums(diag, off, z: complex, J: int) -> list[float]:
+    """ln of sum |P_j(z)|^2 over j in (J/8, J/4], (J/4, J/2] and (J/2, J].
+
+    P_j are the first-kind polynomials of the Jacobi chain (diag, off):
+    P_0 = 1, P_-1 = 0 and off[j] P_(j+1) = (z - diag[j]) P_j - off[j-1] P_(j-1),
+    so the chain needs J couplings.  Plain complex floats carry P: whenever
+    |P_j| leaves [1e-100, 1e100], P_j and P_(j-1) are divided by |P_j| and
+    its log is added to a running scale, so neither overflow nor underflow
+    stops the recurrence.
+    """
+    prev, cur, b_prev, scale = 0j, 1 + 0j, 0.0, 0.0
+    logs, window = [], 0.0      # window: the open window's sum over e^(2 scale)
+    for j in range(J):          # cur becomes P_(j+1)
+        prev, cur, b_prev = cur, ((z - diag[j]) * cur - b_prev * prev) / off[j], off[j]
+        size = abs(cur)
+        if not 1e-100 <= size <= 1e100:
+            prev, cur, window = prev / size, cur / size, window / (size * size)
+            scale += math.log(size)
+            size = 1.0
+        if j >= J // 8:
+            window += size * size
+        if j + 1 in (J // 4, J // 2, J):
+            logs.append(math.log(window) + 2 * scale)
+            window = 0.0
+    return logs

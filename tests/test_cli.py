@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -93,7 +94,7 @@ class TestExponents:
 
     def test_k_out_of_range(self, capsys):
         assert run(capsys, "exponents", "--k", "1")[0] == 2
-        assert run(capsys, "exponents", "--k", "13")[0] == 2
+        assert run(capsys, "exponents", "--k", "65")[0] == 2
 
     def test_non_integer_k_rejected(self, capsys):
         assert run(capsys, "exponents", "--k", "3.0")[0] == 2
@@ -118,8 +119,8 @@ class TestExponents:
                        '5,"-g2","-1/3*w*g1","-2"\n5,"-g2","1/3*w*g1","-2"\n')
 
     def test_full_range_digest(self, capsys):
-        # every k exponents accepts, in every format, pinned as one digest of
-        # the concatenated stdout
+        # k = 3..12, in every format, pinned as one digest of the
+        # concatenated stdout; test_branch_set_past_12 pins larger k
         h = hashlib.sha256()
         for fmt in ("text", "csv", "json"):
             for k in range(3, 13):
@@ -127,6 +128,20 @@ class TestExponents:
                 assert code == 0
                 h.update(out.encode())
         assert h.hexdigest() == "75f9932d1cec04fa762b93e00c34fe6924e7013e31e08ca39fd968d7896ee893"
+
+    @pytest.mark.parametrize("k", [13, 16, 24, 32, 48, 64])
+    def test_branch_set_past_12(self, capsys, k):
+        # for k >= 5 each root gamma = g^(2m+1) of gamma^k = -1 carries
+        # beta = 0 and the two roots (1-k)/2 and (5-3k)/2 of
+        # r^2 + (2k-3) r + 3k^2/4 - 2k + 5/4
+        code, out, _ = run(capsys, "exponents", "--k", str(k), "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        jsonschema.validate(obj, _schema("exponents.json"))
+        assert all(b["beta"] == "0" for b in obj["branches"])
+        got = sorted((b["gamma_power"], Fraction(b["rho"])) for b in obj["branches"])
+        assert got == sorted((2 * m + 1, Fraction(rho, 2))
+                             for m in range(k) for rho in (1 - k, 5 - 3 * k))
 
 
 class TestVerdict:
@@ -189,8 +204,8 @@ class TestVerdict:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_full_range_digest(self, capsys):
-        # every k verdict accepts, in both formats, at the benchmark's six
-        # (omega, delta) pairs, plus the k = 4 double root at omega = 4
+        # k = 1..12, in both formats, at the benchmark's six (omega, delta)
+        # pairs, plus the k = 4 double root at omega = 4
         params = [("5", "1/2"), ("7/2", "1/2"), ("1", "0"), ("3/4", "-2/3"),
                   ("11/3", "5/7"), ("2", "-1")]
         runs = [(k, omega, delta) for k in range(1, 13) for omega, delta in params]
@@ -204,6 +219,15 @@ class TestVerdict:
                 assert code == 0
                 h.update(out.encode())
         assert h.hexdigest() == "d5ca37a97202c1777227768c8506eb00d9c6192d89d8b01c6ecd7de2911983ea"
+
+    def test_k64_not_self_adjoint(self, capsys):
+        code, out, _ = run(capsys, "verdict", "--k", "64", "--omega", "3", "--delta", "0",
+                           "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        jsonschema.validate(obj, _schema("verdict.json"))
+        assert obj["verdict"] == "NotSelfAdjoint"
+        assert len(obj["branches"]) == 128
 
 
 class TestGf:
@@ -221,7 +245,7 @@ class TestGf:
 
     def test_range(self, capsys):
         assert run(capsys, "gf", "--k", "4")[0] == 2
-        assert run(capsys, "gf", "--k", "13")[0] == 2
+        assert run(capsys, "gf", "--k", "33")[0] == 2
 
     def test_k5_csv(self, capsys):
         code, out, _ = run(capsys, "gf", "--k", "5", "--format", "csv")
@@ -230,7 +254,7 @@ class TestGf:
                        "Ck_r,20\nquadratic_linear,7\nquadratic_constant,10\n")
 
     def test_full_range_digest(self, capsys):
-        # every k gf accepts, in every format, pinned as one digest of the
+        # k = 5..12, in every format, pinned as one digest of the
         # concatenated stdout
         h = hashlib.sha256()
         for fmt in ("text", "csv", "json"):
@@ -239,6 +263,13 @@ class TestGf:
                 assert code == 0
                 h.update(out.encode())
         assert h.hexdigest() == "6569c8f910321439e4513ab23fe96e575a24e794756d8f95a786254b7da634a1"
+
+    def test_k32_consistent(self, capsys):
+        code, out, _ = run(capsys, "gf", "--k", "32")
+        assert code == 0
+        # r^2 + (2k-3) r + 3k^2/4 - 2k + 5/4 at k = 32
+        assert "assembled monic quadratic: r^2 + 61*r + 2821/4\n" in out
+        assert out.endswith("oracle check: consistent\n")
 
 
 class TestSweep:
@@ -500,12 +531,12 @@ class TestPlumbing:
         (("sweep", "--k", "1", "--g", "1", "--N", "10,5,30"),
          "truncation sizes must be strictly increasing"),
         (("verdict", "--k", "0", "--omega", "1", "--delta", "0"),
-         "verdict supports 1 <= k <= 12, got 0"),
-        (("verdict", "--k", "13", "--omega", "1", "--delta", "0"),
-         "verdict supports 1 <= k <= 12, got 13"),
+         "verdict supports 1 <= k <= 64, got 0"),
+        (("verdict", "--k", "65", "--omega", "1", "--delta", "0"),
+         "verdict supports 1 <= k <= 64, got 65"),
         (("verdict", "--k", "3", "--omega", "-1/2", "--delta", "0"),
          "omega must be positive"),
-    ], ids=["sweep-g", "jc-exact-k", "sweep-N", "verdict-k0", "verdict-k13",
+    ], ids=["sweep-g", "jc-exact-k", "sweep-N", "verdict-k0", "verdict-k65",
             "verdict-negative-omega"])
     def test_domain_errors_exit_2_with_message(self, capsys, args, message):
         assert run(capsys, *args) == (2, "", f"kphoton: {message}\n")

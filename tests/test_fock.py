@@ -53,6 +53,15 @@ class TestModelParams:
             with pytest.raises(AttributeError):
                 setattr(obj, field, 2.0)
 
+    def test_replace_and_make_validate(self):
+        p = ModelParams(2, 1, 1, 0)
+        assert p._replace(omega=2) == ModelParams(2, 1.0, 2.0, 0.0)
+        assert isinstance(ModelParams._make((3, 1, 1, 0)).g, float)
+        with pytest.raises(ValueError, match="coupling g must be nonnegative"):
+            p._replace(g=-1.0)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            ModelParams._make((2, 1, 0, 0))
+
 
 def _dense_hkp(p, N):
     """The truncated sx-coupled H written out from the fock docstring:

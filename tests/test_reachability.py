@@ -2,7 +2,8 @@
 
 A fixed traffic runs under sys.setprofile: every subcommand in every format
 at k = 3, 4, 5, verdict with --trace and --output, one coupling overflow read
-through the package's lazy fock names, the binding of the verdict submodule
+through the package's lazy fock names, one ModelParams._replace that its
+checks refuse, the binding of the verdict submodule
 on the package that a first import makes, and
 c_recursion on the rational-rho branches of k = 3 and k = 6 (whose
 rho = -5/2 branches end in UnsolvableLevel at level 8), reading
@@ -91,6 +92,9 @@ def _traffic(tmp_path):
     # the fock names load lazily through the package, as a library user meets them
     with pytest.raises(ValueError, match="not a finite double"):
         kphoton.build_hkp(kphoton.ModelParams(400, 0.1, 1.0, 0.0), 500)
+    # a replaced record is checked as a new one is
+    with pytest.raises(ValueError, match="coupling g must be nonnegative"):
+        kphoton.ModelParams(2, 1, 1, 0)._replace(g=-1.0)
     # the binding a fresh process's first import of kphoton.verdict makes on
     # the package, which this process made before the traffic began
     vmod = importlib.import_module("kphoton.verdict")
