@@ -15,17 +15,16 @@ only sweep's eigensolves open one: the LAPACK library that the compiled
 scipy.linalg._flapack extension links, through ctypes, after the BLAS thread
 count below is set.  main maps the exact half's errors to exit codes by
 type; they are defined on the package, so catching them loads no exact
-module.  Only public names of the other package modules are used.
+module.  Only public names of the other package modules are used.  json
+loads only for JSON output, and fractions only to read a rational.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import DivisionByNonUnit, OutOfScope, UnsolvableLevel
 
@@ -49,6 +48,8 @@ _RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 
 def _rational(s: str) -> Fraction:
+    from fractions import Fraction     # only verdict's options are rationals
+
     s = s.strip()
     if not _RATIONAL.fullmatch(s):
         raise CliError(f"expected an exact rational like 2 or -7/2, got {s!r} "
@@ -62,7 +63,10 @@ def _rational(s: str) -> Fraction:
 def _real(s: str) -> float:
     s = s.strip()
     try:
-        return float(Fraction(s)) if "/" in s else float(s)
+        if "/" in s:
+            from fractions import Fraction     # a decimal needs none
+            return float(Fraction(s))
+        return float(s)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"not a number: {s!r}") from None
     except OverflowError:       # a rational past the largest double
@@ -108,6 +112,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _json_text(obj) -> str:
+    import json     # only --format json needs it
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

@@ -12,8 +12,11 @@ build_hkp); eigensolves bisect each distinct chain once with LAPACK's dstebz,
 at O(N) per eigenvalue.  Entries are Python floats held in array('d'), so
 the module imports neither numpy nor scipy: the first eigensolve opens the
 LAPACK library that scipy's compiled _flapack extension links with ctypes
-and calls dstebz from it directly.  All classification thresholds are
-artifact choices (flagged in the emitted summaries), not derived quantities.
+and calls dstebz from it directly.  ctypes releases the GIL for the call, so
+a convergence sweep solves its truncation sizes on parallel threads, one
+per available CPU, largest N first; its errors are raised in N order, as a
+serial loop raises them.  All classification thresholds are artifact
+choices (flagged in the emitted summaries), not derived quantities.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import operator
 import os
 import sys
+import threading
 from array import array
 from collections import namedtuple
 from itertools import chain, islice, repeat
@@ -105,12 +109,16 @@ def _couplings(params: ModelParams, N: int) -> array:
     return w
 
 
+def _check_truncation(k: int, N: int) -> None:
+    if N <= k:
+        raise ValueError(f"need N > k, got N={N}, k={k}")
+
+
 def _chain_entries(params: ModelParams, N: int) -> tuple[array, array, array]:
     """The energies (w*n - d, w*n + d) of |n,down> and |n,up> for n < N, and
     the couplings w[n - k] = g*sqrt(n!/(n-k)!) for k <= n < N."""
     k = params.k
-    if N <= k:
-        raise ValueError(f"need N > k, got N={N}, k={k}")
+    _check_truncation(k, N)
     # allocated at their final length before any entry is computed, so that
     # an N whose entries cannot be held fails at once, not once the
     # computation has filled the memory
@@ -182,6 +190,10 @@ _BISECTION_TOL = 2 * sys.float_info.min
 
 # the LAPACK symbol names: scipy-openblas wheels prefix theirs
 _DSTEBZ_NAMES = ("scipy_dstebz_", "dstebz_")
+
+# held around each _dstebz() call: two threads making the first call at once
+# would both open the library
+_DSTEBZ_LOCK = threading.Lock()
 
 
 @functools.cache
@@ -275,7 +287,8 @@ def lowest_eigenvalues(chains, m: int) -> list[float]:
             raise ValueError(f"a chain needs n >= 1 diagonal entries and n - 1 "
                              f"couplings, got {len(diag)} and {len(off)}")
         entries.append((diag, off))
-    stebz = _dstebz()
+    with _DSTEBZ_LOCK:
+        stebz = _dstebz()
     parts, prev = [], None
     for diag, off in entries:
         key = diag.tobytes(), off.tobytes()     # bitwise, so -0.0 and 0.0 stay apart
@@ -318,9 +331,54 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _solve_sizes(params: ModelParams, sizes: list[int], m: int) -> list[tuple]:
+    """lowest_eigenvalues(build_hkp(params, N), m) for each N of the
+    increasing sizes, in their order.  The calling thread and one more per
+    further available CPU, up to one per size, take the sizes from one
+    iterator, largest first.  Every size is attempted, and the first failing
+    size's error is raised: the one a serial loop raises."""
+    rows, errors = [None] * len(sizes), [None] * len(sizes)
+    # a range iterator hands out each index once: its next() is one C call
+    # under the GIL
+    todo = reversed(range(len(sizes)))
+
+    def work():
+        for i in todo:
+            try:
+                rows[i] = tuple(lowest_eigenvalues(build_hkp(params, sizes[i]), m))
+            except Exception as exc:    # raised by the caller, in sizes order
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(_cpu_count(), len(sizes)) - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return rows
+
+
 def convergence_sweep(params: ModelParams, N_list, m: int = 10,
                       tol: float = 1e-6) -> SpectrumSweep:
-    """Lowest-m spectra across truncation sizes, merged by N, classified."""
+    """Lowest-m spectra across truncation sizes, merged by N, classified.
+
+    The sizes are solved on parallel threads, one per available CPU, largest
+    N first; with one CPU no thread starts.  Errors are raised in N order:
+    a first size N <= k at once, and otherwise the first failing size's once
+    every size was attempted.
+    """
     _check_tol(tol)
     sizes = [int(N) for N in N_list]
     if len(sizes) < 3:
@@ -329,7 +387,9 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
         raise ValueError("truncation sizes must be strictly increasing")
     if m < 2:
         raise ValueError("need m >= 2 for gap statistics")
-    rows = [tuple(lowest_eigenvalues(build_hkp(params, N), m)) for N in sizes]
+    # refused before any size is solved, as the serial loop refused it at once
+    _check_truncation(params.k, sizes[0])
+    rows = _solve_sizes(params, sizes, m)
     for row in rows:
         if not all(math.isfinite(v) for v in row):
             raise RuntimeError("non-finite eigenvalue in sweep")

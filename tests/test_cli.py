@@ -703,29 +703,42 @@ class TestPlumbing:
 
     # Each run is a fresh interpreter: main() is called in-process there so
     # sys.modules shows exactly what the subcommand imported.  No subcommand
-    # loads dataclasses or the inspect module that it imports.
-    _REPORT_LOADS = ("import sys; from kphoton.cli import main; "
+    # loads dataclasses or the inspect module that it imports.  The last
+    # field lists json, fractions and decimal as loaded after start-up, when
+    # a site hook may already have loaded some of them.
+    _REPORT_LOADS = ("import sys; start = set(sys.modules); "
+                     "from kphoton.cli import main; "
                      "code = main(sys.argv[1:]); "
                      "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, "
                      "sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+                     "sorted({'json', 'fractions', 'decimal'} & (set(sys.modules) - start)), "
                      "file=sys.stderr)")
 
-    @pytest.mark.parametrize("args, code", [
-        (("coeffs", "--k", "5"), 0),
-        (("ode", "--k", "5"), 0),
-        (("exponents", "--k", "5"), 0),
-        (("gf", "--k", "5"), 0),
-        (("verdict", "--k", "4", "--omega", "1", "--delta", "0", "--trace", "TRACE"), 0),
-        (("--help",), 0),
-        (("exponents", "--k", "2"), 2),
-    ], ids=["coeffs", "ode", "exponents", "gf", "verdict-trace", "help", "exit-2"])
-    def test_exact_paths_never_load_numpy(self, tmp_path, args, code):
+    # the exact modules compute with fractions; json loads only for JSON
+    # output or the verdict trace
+    @pytest.mark.parametrize("args, code, loaded", [
+        (("coeffs", "--k", "5"), 0, ["decimal", "fractions"]),
+        (("coeffs", "--k", "5", "--format", "csv"), 0, ["decimal", "fractions"]),
+        (("coeffs", "--k", "5", "--format", "json"), 0, ["decimal", "fractions", "json"]),
+        (("ode", "--k", "5"), 0, ["decimal", "fractions"]),
+        (("ode", "--k", "5", "--format", "csv"), 0, ["decimal", "fractions"]),
+        (("exponents", "--k", "5"), 0, ["decimal", "fractions"]),
+        (("exponents", "--k", "5", "--format", "csv"), 0, ["decimal", "fractions"]),
+        (("gf", "--k", "5"), 0, ["decimal", "fractions"]),
+        (("gf", "--k", "5", "--format", "csv"), 0, ["decimal", "fractions"]),
+        (("verdict", "--k", "4", "--omega", "1", "--delta", "0", "--trace", "TRACE"), 0,
+         ["decimal", "fractions", "json"]),
+        (("--help",), 0, []),
+        (("exponents", "--k", "2"), 2, ["decimal", "fractions"]),
+    ], ids=["coeffs", "coeffs-csv", "coeffs-json", "ode", "ode-csv", "exponents",
+            "exponents-csv", "gf", "gf-csv", "verdict-trace", "help", "exit-2"])
+    def test_exact_paths_never_load_numpy(self, tmp_path, args, code, loaded):
         trace = tmp_path / "trace.json"
         args = [str(trace) if a == "TRACE" else a for a in args]
         proc = subprocess.run([sys.executable, "-c", self._REPORT_LOADS, *args],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == f"{code} False False []"
+        assert proc.stderr.splitlines()[-1] == f"{code} False False [] {loaded}"
         assert trace.exists() == (str(trace) in args)
 
     # exponents certifies nothing: it loads neither the verdict module nor
@@ -742,19 +755,26 @@ class TestPlumbing:
         assert proc.stderr.splitlines()[-1] == "0 [] True"
 
     # neither loads numpy, the scipy package, an exact module or dataclasses:
-    # sweep's eigensolves call LAPACK through ctypes, and jc-exact is closed form
-    @pytest.mark.parametrize("args", [
-        ("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"),
-        ("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"),
-    ], ids=["sweep", "jc-exact"])
-    def test_numeric_paths_load_no_numpy(self, args):
-        script = ("import sys; from kphoton.cli import main; "
+    # sweep's eigensolves call LAPACK through ctypes, and jc-exact is closed
+    # form; fractions loads only to read a rational, json only for JSON output
+    @pytest.mark.parametrize("args, loaded", [
+        (("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--m", "2"), []),
+        (("sweep", "--k", "2", "--g", "3/10", "--N", "20,40,60", "--m", "2"),
+         ["decimal", "fractions"]),
+        (("sweep", "--k", "2", "--g", "0.3", "--N", "20,40,60", "--format", "json"), ["json"]),
+        (("jc-exact", "--k", "1", "--g", "0.1", "--n-max", "2"), []),
+    ], ids=["sweep", "sweep-rational", "sweep-json", "jc-exact"])
+    def test_numeric_paths_load_no_numpy(self, args, loaded):
+        script = ("import sys; start = set(sys.modules); "
+                  "from kphoton.cli import main; "
                   "code = main(sys.argv[1:]); "
                   "print(code, sorted({'numpy', 'scipy', 'kphoton.asymptotics', "
                   "'kphoton.verdict', 'kphoton.weyl', 'dataclasses', 'inspect'} "
                   "& set(sys.modules)), "
-                  "'kphoton.fock' in sys.modules, file=sys.stderr)")
+                  "'kphoton.fock' in sys.modules, "
+                  "sorted({'json', 'fractions', 'decimal'} & (set(sys.modules) - start)), "
+                  "file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "0 [] True"
+        assert proc.stderr.splitlines()[-1] == f"0 [] True {loaded}"

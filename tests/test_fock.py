@@ -1,9 +1,11 @@
 """Truncated-matrix builds, exact oracles, convergence classification."""
 
+import itertools
 import json
 import math
 import subprocess
 import sys
+import threading
 from collections import Counter
 from importlib import resources
 
@@ -517,6 +519,97 @@ class TestConvergenceSweep:
         for sizes in ([100, 200, 400], [100, 200]):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 convergence_sweep(p, sizes, tol=tol)
+
+
+def _cpus(monkeypatch, n):
+    # the CPUs the sweep sees, whether or not the platform has sched_getaffinity
+    monkeypatch.setattr(fock.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _hex_rows(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+def _serial_rows(p, sizes, m):
+    return _hex_rows(lowest_eigenvalues(build_hkp(p, N), m) for N in sizes)
+
+
+class TestParallelSweep:
+    """convergence_sweep solves its sizes on threads; the rows are the serial loop's."""
+
+    SIZES = ((6, 7, 8), (20, 40, 80), (50, 100, 200, 400), (10, 11, 30, 31, 90))
+
+    def test_bit_identical_to_the_serial_loop(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        cases = list(itertools.product(range(1, 6), (0.0, 0.05, 0.3, 1.0),
+                                       (0.0, 0.5, -0.25), self.SIZES))
+        assert len(cases) == 240
+        for k, g, delta, sizes in cases:
+            p = ModelParams(k, g, 1.0, delta)
+            sweep = convergence_sweep(p, sizes, m=10)
+            assert sweep.N_list == sizes
+            assert _hex_rows(sweep.eigenvalues) == _serial_rows(p, sizes, 10), (k, g, delta, sizes)
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+    def test_one_cpu_starts_no_thread(self, monkeypatch, affinity):
+        if affinity:
+            _cpus(monkeypatch, 1)
+        else:   # a platform without sched_getaffinity
+            monkeypatch.delattr(fock.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(fock.os, "cpu_count", lambda: None)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(fock.threading, "Thread", no_thread)
+        p = ModelParams(3, 0.1, 1.0, 0.5)
+        sweep = convergence_sweep(p, (100, 200, 400), m=5)
+        assert _hex_rows(sweep.eigenvalues) == _serial_rows(p, (100, 200, 400), 5)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_failing_size_in_N_order_is_raised(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        sizes, built = (20, 40, 60, 80, 100), []
+        build = fock.build_hkp
+
+        def failing(params, N):
+            built.append(N)
+            if N in (40, 80):
+                raise ValueError(f"refused N={N}")
+            return build(params, N)
+        monkeypatch.setattr(fock, "build_hkp", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^refused N=40$"):
+            convergence_sweep(ModelParams(2, 0.3, 1.0, 0.0), sizes)
+        assert sorted(built) == list(sizes)     # every size was attempted
+        assert threading.active_count() == before
+
+    def test_too_small_a_first_size_is_refused_before_solving(self, monkeypatch):
+        # the larger sizes would take seconds; the serial loop never built them
+        built = []
+        monkeypatch.setattr(fock, "build_hkp", lambda params, N: built.append(N))
+        with pytest.raises(ValueError, match=r"^need N > k, got N=2, k=3$"):
+            convergence_sweep(ModelParams(3, 0.1, 1.0, 0.0), (2, 10, 10**6))
+        assert built == []
+
+    def test_each_size_solved_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        _cpus(monkeypatch, 8)
+        sizes, built = tuple(range(20, 260, 20)), []
+        build = fock.build_hkp
+
+        def counting(params, N):
+            built.append(N)
+            return build(params, N)
+        monkeypatch.setattr(fock, "build_hkp", counting)
+        p = ModelParams(3, 0.2, 1.0, 0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep = convergence_sweep(p, sizes, m=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == list(sizes)
+        assert _hex_rows(sweep.eigenvalues) == _serial_rows(p, sizes, 4)
 
 
 class TestEmitters:

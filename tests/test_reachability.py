@@ -1,6 +1,7 @@
 """The package ships only what its commands run.
 
-A fixed traffic runs under sys.setprofile: every subcommand in every format
+A fixed traffic runs under sys.setprofile and threading.setprofile, which
+also covers the threads a sweep starts: every subcommand in every format
 at k = 3, 4, 5, verdict with --trace and --output, one coupling overflow read
 through the package's lazy fock names, one ModelParams._replace that its
 checks refuse, the binding of the verdict submodule
@@ -25,6 +26,7 @@ import inspect
 import io
 import pkgutil
 import sys
+import threading
 from functools import cached_property
 from pathlib import Path
 
@@ -121,12 +123,16 @@ def test_every_shipped_function_runs(tmp_path):
         if event == "call":
             entered.add(frame.f_code)
 
-    previous = sys.getprofile()
+    # threading's hook reaches the threads a sweep starts for its sizes,
+    # which sys's, set on this thread only, does not
+    previous, previous_threads = sys.getprofile(), threading.getprofile()
+    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         _traffic(tmp_path)
     finally:
         sys.setprofile(previous)
+        threading.setprofile(previous_threads)
     missing = sorted(name for code, name in codes.items() if code not in entered
                      and not name.endswith(ALLOWED_METHODS) and name not in ALLOWED)
     assert not missing, f"shipped but never run: {missing}"
