@@ -376,8 +376,8 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
 
     The sizes are solved on parallel threads, one per available CPU, largest
     N first; with one CPU no thread starts.  Errors are raised in N order:
-    a first size N <= k at once, and otherwise the first failing size's once
-    every size was attempted.
+    a first size N <= k, or an m above its dimension 2N, at once, and
+    otherwise the first failing size's once every size was attempted.
     """
     _check_tol(tol)
     sizes = [int(N) for N in N_list]
@@ -387,8 +387,10 @@ def convergence_sweep(params: ModelParams, N_list, m: int = 10,
         raise ValueError("truncation sizes must be strictly increasing")
     if m < 2:
         raise ValueError("need m >= 2 for gap statistics")
-    # refused before any size is solved, as the serial loop refused it at once
+    # refused before any size is solved, as the serial loop refused them at once
     _check_truncation(params.k, sizes[0])
+    if m > 2 * sizes[0]:
+        raise ValueError(f"need 1 <= m <= {2 * sizes[0]}, got {m}")
     rows = _solve_sizes(params, sizes, m)
     for row in rows:
         if not all(math.isfinite(v) for v in row):

@@ -5,11 +5,9 @@ and coefficients that are Laurent polynomials over the rationals in three
 commuting parameters: the field frequency ``w``, the level splitting ``d``
 and a spectral parameter ``E``.  Operators are kept in normal order (all
 powers of ``z`` to the left of all ``Dz``), so equality of operators is
-structural equality of their term dictionaries.  The reduced operator is
-written down in normal order directly: the one product it needs, the square
-of the coupling z^k + Dz^k, expands through the closed-form weights a_j.
-The general product by commutator rewriting is the tests' independent check
-on that construction and lives with them, in tests/oracles.py.
+structural equality of their term dictionaries.  The product normal-orders
+by the closed Leibniz form Dz^j z^i = sum_l C(j, l) i!/(i-l)! z^(i-l) Dz^(j-l),
+and the reduced operator is computed from the model's two factors with it.
 """
 
 from __future__ import annotations
@@ -217,6 +215,27 @@ class OperatorPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorPoly) and self.terms == other.terms
 
+    def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
+        out = dict(self.terms)
+        for ij, p in other.terms.items():
+            accumulate(out, ij, p)
+        return OperatorPoly(out)
+
+    def __sub__(self, other: "OperatorPoly") -> "OperatorPoly":
+        return self + OperatorPoly({ij: -p for ij, p in other.terms.items()})
+
+    def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
+        """The normal-ordered product: z^a Dz^b z^c Dz^e is
+        sum_l C(b, l) c!/(c-l)! z^(a+c-l) Dz^(b+e-l), l <= min(b, c)."""
+        out: dict[tuple[int, int], ParamPoly] = {}
+        for (a, b), p in self.terms.items():
+            for (c, e), q in other.terms.items():
+                pq = p * q
+                for l in range(min(b, c) + 1):
+                    accumulate(out, (a + c - l, b + e - l),
+                               pq.scale(math.comb(b, l) * math.perm(c, l)))
+        return OperatorPoly(out)
+
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -245,8 +264,8 @@ def a_coeff(j: int, n: int) -> int:
     a^n a'^n = sum_j C(n, j)^2 j! a'^(n-j) a^(n-j) (Blasiak, Penson &
     Solomon, Ann. Comb. 7, 2003); 1 for j = 0 and 0 for j < 0 or j > n.
     tests/test_weyl.py::TestCrossTermWeights::test_square_of_coupling checks
-    it against the commutator expansion of (z^k + Dz^k)^2 at k = 1..12, 32
-    and 64.
+    it against (z^k + Dz^k)^2 by the package product and by commutator
+    rewriting at k = 1..12, 32 and 64.
     """
     if j < 0:
         return 0
@@ -260,28 +279,17 @@ def a_coeff(j: int, n: int) -> int:
 def build_reduced_operator(k: int) -> OperatorPoly:
     """Second-order-in-spin reduced operator for k-th power coupling.
 
-    (w z Dz - E)^2 - (z^k + Dz^k)^2 + w k z^(k-1) - d^2, with the square of
-    the coupling expanded in normal order.  Valid for k >= 2; the k = 2
-    operator is built for display although its asymptotics are handled
-    numerically elsewhere.
+    A*A - C*C - d^2 + w k z^(k-1), the products of the model's factors
+    A = w z Dz - E and C = z^k + Dz^k taken in normal order.  The last term
+    is the shipped first-order remainder, which ROADMAP item 13 replaces by
+    the sector elimination's.  Valid for k >= 2; the k = 2 operator is built
+    for display although its asymptotics are handled numerically elsewhere.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    w = ParamPoly.omega()
-    E = ParamPoly.energy()
-    d = ParamPoly.delta()
-    terms: dict[tuple[int, int], ParamPoly] = {}
-    # (w z Dz - E)^2 = w^2 z^2 Dz^2 + (w^2 - 2 E w) z Dz + E^2
-    accumulate(terms, (2, 2), w * w)
-    accumulate(terms, (1, 1), w * w - (E * w).scale(2))
-    accumulate(terms, (0, 0), E * E)
-    # -(z^k + Dz^k)^2 in normal order
-    accumulate(terms, (0, 2 * k), -P_ONE)
-    accumulate(terms, (2 * k, 0), -P_ONE)
-    accumulate(terms, (k, k), P_ONE.scale(-2))
-    for j in range(1, k + 1):
-        accumulate(terms, (k - j, k - j), P_ONE.scale(-a_coeff(j, k)))
-    # first-order remainder of the elimination
-    accumulate(terms, (k - 1, 0), w.scale(k))
-    accumulate(terms, (0, 0), -(d * d))
-    return OperatorPoly(terms)
+    w, d = ParamPoly.omega(), ParamPoly.delta()
+    A = OperatorPoly({(1, 1): w, (0, 0): -ParamPoly.energy()})
+    C = OperatorPoly({(k, 0): P_ONE, (0, k): P_ONE})
+    op = A * A - C * C - OperatorPoly({(0, 0): d * d})
+    # ROADMAP item 13: w k z^(k-1) is [w Dz, z^k]; the elimination gives +-[A, C]
+    return op + OperatorPoly({(k - 1, 0): w.scale(k)})

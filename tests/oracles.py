@@ -4,8 +4,9 @@ Each is an independent implementation of something the package computes
 another way, kept here so that the package ships only what its commands run:
 
 - op_mul (with its _dz_z table): the normal-ordered product by commutator
-  rewriting, the check on weyl.build_reduced_operator and on the closed-form
-  cross-term weights weyl.a_coeff.
+  rewriting, the check on the package product weyl.OperatorPoly.__mul__,
+  which builds the reduced operator, and on the closed-form cross-term
+  weights weyl.a_coeff.
 - apply_to_polynomial: operators acting on polynomials in z, the check on
   op_mul itself (product against composition).
 - leibniz_hermite_table: d^m [e^(g z^2/2) z^r] in closed form, the check on
@@ -25,9 +26,9 @@ another way, kept here so that the package ships only what its commands run:
 - tail_log_sums: the first-kind polynomials of one chain at complex z,
   summed over three doubling windows, whose decay test_tails compares with
   the exact half's rho.  It moves into the package when a command needs it.
-- op_sum, scale (of a quotient-ring element) and satisfies_quadratic: the
-  builders of expected operators and ring elements, and the exact
-  back-substitution of an asymptotics.QuadraticRoot into a given quadratic.
+- scale (of a quotient-ring element) and satisfies_quadratic: the builder
+  of expected ring elements, and the exact back-substitution of an
+  asymptotics.QuadraticRoot into a given quadratic.
 
 Tests import them as ``from oracles import ...``: pytest puts this directory
 on sys.path because it holds test modules and no __init__.py.
@@ -43,15 +44,6 @@ import numpy as np
 from kphoton.asymptotics import QuadraticRoot, RingElem
 from kphoton.fock import _BISECTION_TOL, ModelParams, _not_finite
 from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
-
-
-def op_sum(*ops: OperatorPoly) -> OperatorPoly:
-    """The sum of the operators, term by term."""
-    out: dict[tuple[int, int], ParamPoly] = {}
-    for a in ops:
-        for ij, p in a.terms.items():
-            accumulate(out, ij, p)
-    return OperatorPoly(out)
 
 
 def scale(x: RingElem, q) -> RingElem:

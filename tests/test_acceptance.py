@@ -30,13 +30,11 @@ from kphoton.fock import (
     lowest_eigenvalues,
 )
 from kphoton.verdict import Verdict, symmetry_divergence, verdict
-from kphoton.weyl import OperatorPoly, ParamPoly, a_coeff, build_reduced_operator
+from kphoton.weyl import ParamPoly, a_coeff, build_reduced_operator
 from oracles import (
     build_jck,
     displaced_oscillator_oracle,
     leibniz_hermite_table,
-    op_mul,
-    op_sum,
     satisfies_quadratic,
     scale,
 )
@@ -62,16 +60,6 @@ def _p(**mono):
     return out
 
 
-def _reduced_via_op_mul(k: int) -> OperatorPoly:
-    w, one = ParamPoly.omega(), ParamPoly.rational(1)
-    first = OperatorPoly({(1, 1): w, (0, 0): -ParamPoly.energy()})
-    coupling = OperatorPoly({(k, 0): one, (0, k): one})
-    minus_coupling = OperatorPoly({(k, 0): -one, (0, k): -one})
-    return op_sum(op_mul(first, first), op_mul(coupling, minus_coupling),
-                  OperatorPoly({(k - 1, 0): w.scale(k),
-                                (0, 0): -(ParamPoly.delta() * ParamPoly.delta())}))
-
-
 def test_criterion_1_normal_ordering_fixtures():
     with budget(1.0):
         expected_k3 = {
@@ -94,8 +82,6 @@ def test_criterion_1_normal_ordering_fixtures():
             (3, 0): _p(w=4),
         }
         for k, expect in ((3, expected_k3), (4, expected_k4)):
-            via_mul = _reduced_via_op_mul(k)
-            assert via_mul.terms == expect, f"op_mul route differs at k={k}"
             assert build_reduced_operator(k).terms == expect
         assert [a_coeff(j, 3) for j in (1, 2, 3)] == [9, 18, 6]
         assert [a_coeff(j, 4) for j in (1, 2, 3, 4)] == [16, 72, 96, 24]

@@ -30,7 +30,7 @@ from kphoton.asymptotics import (
     substitute_ansatz,
 )
 from kphoton.weyl import OperatorPoly, ParamPoly, build_reduced_operator
-from oracles import leibniz_hermite_table, op_sum, satisfies_quadratic, scale
+from oracles import leibniz_hermite_table, satisfies_quadratic, scale
 
 W = ParamPoly.omega()
 E = ParamPoly.energy()
@@ -236,7 +236,7 @@ class TestSubstituteAnsatz:
 
     def test_term_past_window_rejected(self):
         # z^i Dz^j with i + j > 2k would need series slots below the window
-        op = op_sum(build_reduced_operator(3), OperatorPoly({(6, 1): ParamPoly.rational(1)}))
+        op = build_reduced_operator(3) + OperatorPoly({(6, 1): ParamPoly.rational(1)})
         with pytest.raises(ValueError, match=r"z\^6\*Dz\^1 has i \+ j > 2k = 6"):
             substitute_ansatz(op, 3, 8)
         substitute_ansatz(OperatorPoly({(5, 1): ParamPoly.rational(1)}), 3)    # i + j = 2k is fine
@@ -249,7 +249,7 @@ class TestSubstituteAnsatz:
         a = build_reduced_operator(3)
         b = OperatorPoly({(1, 1): W.scale(Fraction(1, 2)),
                           (0, 3): ParamPoly.rational(Fraction(-2, 3))})
-        assert coeffs(op_sum(a, b)) == [x + y for x, y in zip(coeffs(a), coeffs(b))]
+        assert coeffs(a + b) == [x + y for x, y in zip(coeffs(a), coeffs(b))]
         third = ParamPoly.rational(Fraction(2, 3))
         a_third = OperatorPoly({ij: p * third for ij, p in a.terms.items()})
         assert coeffs(a_third) == [scale(x, third) for x in coeffs(a)]

@@ -1,8 +1,10 @@
 """Exit codes, exactness boundary, output formats, determinism."""
 
+import contextlib
 import hashlib
 import importlib
 import importlib.machinery
+import io
 import json
 import os
 import re
@@ -14,6 +16,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kphoton import asymptotics, cli, fock
 from kphoton.cli import main
@@ -778,3 +782,65 @@ class TestPlumbing:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == f"0 [] True {loaded}"
+
+
+# values of the options after --k that every subcommand taking them accepts,
+# truncation lists with N <= 10^4 among them, and odd values, some refused
+# by every subcommand and some only by the exact ones
+_SIZES = st.builds(lambda small, large: ",".join(map(str, sorted(small) + [10 ** 4] * large)),
+                   st.sets(st.integers(3, 60), min_size=3, max_size=3), st.booleans())
+_GOOD = {"--omega": st.sampled_from(["1", "3/10", "7/2", "2"]),
+         "--delta": st.sampled_from(["0", "1/3", "-7/2", "0/5"]),
+         "--g": st.sampled_from(["3/10", "0.5", "0", "1e-3"]),
+         "--tol": st.sampled_from(["1e-6", "1/2"]),
+         "--N": _SIZES,
+         "--m": st.sampled_from(["10", "2", "5"]),
+         "--n-max": st.sampled_from(["7", "0", "50", "10000"])}
+_ODD = st.sampled_from(["0.5", "-1", "-1e-3", "0", "1e308", "1/0", "nan", "inf", "x", "",
+                        "1.5", "20,x,40", "5,5,6", "40,20,30", "2,3,10000"])
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand from cli._COMMANDS with every option valid, --trace
+    left out, and at most one changed: k one past either end of its range,
+    a bad format, an odd value, or an option left out.  The options come in
+    any order, each as --opt value or --opt=value."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, formats, k_range, _, options = cli._COMMANDS[name]
+    lo, hi = k_range or (1, 4)      # ModelParams takes any k >= 1
+    values = {"--k": draw(st.sampled_from([lo, hi, lo + 1])),
+              "--format": draw(st.sampled_from(formats.split()))}
+    for flag, _ in options:
+        if flag != "--trace":
+            values[flag] = draw(_GOOD[flag])
+    fault = draw(st.sampled_from([None, None, *values]))
+    if fault == "--k":
+        values[fault] = draw(st.sampled_from([lo - 1, hi + 1]))
+    elif fault == "--format":
+        values[fault] = "xml"
+    elif fault:
+        values[fault] = draw(st.none() | _ODD)
+    argv = [name]
+    for flag, value in draw(st.permutations(sorted(values.items()))):
+        if value is not None:
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv())
+    def test_every_argv_exits_0_2_or_3_the_same_way_twice(self, argv):
+        # an exception escaping main fails the example with its argv
+        code, out, err = first = _run_in_process(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert code == 0 or out == "", argv
+        assert _run_in_process(argv) == first, argv

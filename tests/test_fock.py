@@ -591,6 +591,16 @@ class TestParallelSweep:
             convergence_sweep(ModelParams(3, 0.1, 1.0, 0.0), (2, 10, 10**6))
         assert built == []
 
+    def test_too_large_an_m_is_refused_before_solving(self, monkeypatch):
+        # lowest_eigenvalues' refusal at the first size, which is 2N = 4 wide
+        built = []
+        monkeypatch.setattr(fock, "build_hkp", lambda params, N: built.append(N))
+        with pytest.raises(ValueError, match=r"^need 1 <= m <= 4, got 10$"):
+            convergence_sweep(ModelParams(1, 0.1, 1.0, 0.0), (2, 3, 10**6), m=10)
+        assert built == []
+        with pytest.raises(ValueError, match=r"^need 1 <= m <= 4, got 10$"):
+            lowest_eigenvalues(build_hkp(ModelParams(1, 0.1, 1.0, 0.0), 2), 10)
+
     def test_each_size_solved_once_under_contention(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter allows
         _cpus(monkeypatch, 8)

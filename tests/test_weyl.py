@@ -12,7 +12,7 @@ from kphoton.weyl import (
     accumulate,
     build_reduced_operator,
 )
-from oracles import apply_to_polynomial, op_mul, op_sum
+from oracles import apply_to_polynomial, op_mul
 
 W = ParamPoly.omega()
 D = ParamPoly.delta()
@@ -163,6 +163,14 @@ class TestParamPolyAgainstFractionDicts:
             assert (left.num, left.den) == (right.num, right.den)
 
 
+# small operators: up to four terms z^i Dz^j, i, j <= 5, with ParamPoly
+# coefficients drawn like the ParamPoly tests' above
+_OPERATOR = st.builds(
+    lambda terms: OperatorPoly({ij: ParamPoly(c) for ij, c in terms.items()}),
+    st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    st.dictionaries(_EXP, _QUOT, max_size=2), max_size=4))
+
+
 class TestNormalOrder:
     def test_single_commutator(self):
         z = OperatorPoly({(1, 0): ONE})
@@ -179,6 +187,7 @@ class TestNormalOrder:
         b = OperatorPoly({(2, 1): ONE, (1, 0): D})
         c = OperatorPoly({(0, 3): ONE, (2, 2): rat(-2)})
         assert op_mul(op_mul(a, b), c) == op_mul(a, op_mul(b, c))
+        assert (a * b) * c == a * (b * c) == op_mul(a, op_mul(b, c))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -192,7 +201,13 @@ class TestNormalOrder:
         p = {n: ONE, 0: rat(2)}
         via_mul = apply_to_polynomial(op_mul(a, b), p)
         via_compose = apply_to_polynomial(a, apply_to_polynomial(b, p))
-        assert via_mul == via_compose
+        assert via_mul == via_compose == apply_to_polynomial(a * b, p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=_OPERATOR, b=_OPERATOR)
+    def test_package_product_matches_op_mul(self, a, b):
+        assert a * b == op_mul(a, b)
+        assert (a + b) - b == a and a - a == OperatorPoly()
 
     def test_apply_kills_short_monomials(self):
         dz3 = OperatorPoly({(0, 3): ONE})
@@ -219,13 +234,13 @@ class TestCrossTermWeights:
 
     @pytest.mark.parametrize("k", [*range(1, 13), 32, 64])
     def test_square_of_coupling(self, k):
-        # op_mul route: (z^k + Dz^k)^2 must reproduce the a_j expansion
+        # (z^k + Dz^k)^2 by the package product and by op_mul must both
+        # reproduce the a_j expansion
         s = OperatorPoly({(k, 0): ONE, (0, k): ONE})
-        sq = op_mul(s, s)
         expect = {(2 * k, 0): ONE, (0, 2 * k): ONE, (k, k): rat(2)}
         for j in range(1, k + 1):
             accumulate(expect, (k - j, k - j), rat(a_coeff(j, k)))
-        assert sq == OperatorPoly(expect)
+        assert s * s == op_mul(s, s) == OperatorPoly(expect)
 
 
 class TestReducedOperator:
@@ -263,15 +278,15 @@ class TestReducedOperator:
         }
         assert op.terms == expect
 
-    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("k", [*range(2, 13), 32, 64])
     def test_against_op_mul_construction(self, k):
-        # independent route: square the first-order pieces with op_mul
-        hz = OperatorPoly({(1, 1): W, (0, 0): -E})
-        s = OperatorPoly({(k, 0): ONE, (0, k): ONE})
-        minus_s = OperatorPoly({(k, 0): -ONE, (0, k): -ONE})
-        via_mul = op_sum(op_mul(hz, hz), op_mul(s, minus_s),
-                         OperatorPoly({(k - 1, 0): W.scale(k), (0, 0): -(D * D)}))
-        assert build_reduced_operator(k) == via_mul
+        # the package product of the model's factors A = w z Dz - E and
+        # C = z^k + Dz^k against commutator rewriting; that the factors and
+        # their combination come from H is tests/test_bargmann.py's check
+        a = OperatorPoly({(1, 1): W, (0, 0): -E})
+        c = OperatorPoly({(k, 0): ONE, (0, k): ONE})
+        for x, y in ((a, a), (c, c), (a, c), (c, a)):
+            assert x * y == op_mul(x, y)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_degrees(self, k):
