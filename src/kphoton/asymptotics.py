@@ -5,8 +5,9 @@ operator, collects the coefficient of each power z^(r + 2k - l) (level l) and
 solves the levels in the fixed order g, b, r, c_1, c_2, ... over the quotient
 ring Q(w,d,E)[g]/(g^k + 1).  Everything is exact; no floating point.
 
-Only the c_0 series e^(g z^2/2 + b z) z^r is differentiated, and
-differentiating it only multiplies by g, b and r + e, so it holds integers.
+Only the c_0 series e^(g z^2/2 + b z) z^r is differentiated, and only at the
+Dz powers the operator has: each row Dz^j [e^(g z^2/2 + b z) z^r] is a closed
+Leibniz-Hermite sum with integer coefficients in g, b and r.
 The c_n term is the c_0 term at r - n, so with L_m(g, b, r) the c_0 part of
 level m, level l is sum_n c_n L_(l-n)(g, b, r - n) (the Frobenius structure
 of the recurrence).  substitute_ansatz keeps only the L_m, as ring elements,
@@ -15,7 +16,9 @@ it is read (the exponent solve and the verdict read levels 0..5), and for the
 tail recursion, with gamma and beta substituted and r = rho.  w, d, E enter when
 substitute_ansatz applies the operator; every coefficient in (w, d, E) is a
 ParamPoly, integer numerators over one common denominator, so the levels and
-the tail are built in integer arithmetic.
+the tail are built in integer arithmetic.  Every product of ring elements and
+every substitution is one grouping by output key, with one ParamPoly.dot, and
+so one content gcd, per key.
 
 Symbol conventions in rendered output: g is the Gaussian exponent generator
 (g^k = -1), b the linear exponent, r the power-law exponent, c0..cL the tail
@@ -142,12 +145,7 @@ class RingElem:
 
     def __mul__(self, other: "RingElem"):
         self._check(other)
-        out = {}
-        for (g1, b1, r1, c1), p1 in self.terms.items():
-            for (g2, b2, r2, c2), p2 in other.terms.items():
-                key = (g1 + g2, b1 + b2, r1 + r2, tuple(sorted(c1 + c2)))
-                accumulate(out, key, p1 * p2)
-        return RingElem(out, self.modulus)
+        return _dot([(self, other)], self.modulus)
 
     def reduce(self, k: int) -> "RingElem":
         """Impose g^k = -1 (enter the quotient ring)."""
@@ -155,25 +153,31 @@ class RingElem:
 
     # -- substitutions
     def subs(self, symbol: str, value) -> "RingElem":
-        """Substitute value (a RingElem, ParamPoly or rational) for g, b or r."""
+        """Substitute value (a RingElem, ParamPoly or rational) for g, b or r.
+
+        A free-g element takes a quotient-ring value into the value's ring.
+        """
         i = _SYMBOLS.index(symbol)
         if not isinstance(value, RingElem):
             value = RingElem.from_param(
                 value if isinstance(value, ParamPoly) else ParamPoly.rational(value),
                 self.modulus)
-        self._check(value)
-        powers = [RingElem.one(self.modulus)]
-        out = {}
+        if self.modulus is not None:
+            self._check(value)
+        exponents = [key[i] for key in self.terms]
+        if min(exponents, default=0) < 0:
+            raise ValueError(f"cannot substitute for a negative power of {symbol}")
+        powers = [RingElem.one(value.modulus)]
+        for _ in range(max(exponents, default=0)):
+            powers.append(powers[-1] * value)
+        products = []
         for key, p in self.terms.items():
-            n, rest = key[i], key[:i] + (0,) + key[i + 1:]
-            if n == 0:
-                accumulate(out, rest, p)
-                continue
-            while len(powers) <= n:
-                powers.append(powers[-1] * value)
-            for key2, q in (RingElem._wrap({rest: p}, self.modulus) * powers[n]).terms.items():
-                accumulate(out, key2, q)
-        return RingElem._wrap(out, self.modulus)
+            rest = list(key[:3])
+            rest[i] = 0
+            for (g, b, r, c), q in powers[key[i]].terms.items():
+                products.append(((rest[0] + g, rest[1] + b, rest[2] + r,
+                                  tuple(sorted(key[3] + c)) if c else key[3]), p, q))
+        return _collect(products, value.modulus)
 
     # -- views
     def poly_in(self, symbol: str) -> dict[int, "RingElem"]:
@@ -196,12 +200,9 @@ class RingElem:
             nv = -(c * u[-1])
             u.append(nu)
             v.append(nv)
-        out = {}
-        for (g, bx, r, cm), p in self.terms.items():
-            for rr, w in ((1, u[r]), (0, v[r])):
-                if w:
-                    accumulate(out, (g, bx, rr, cm), p * w)
-        return RingElem._wrap(out, self.modulus)
+        return _collect((((g, bx, rr, cm), p, w)
+                         for (g, bx, r, cm), p in self.terms.items()
+                         for rr, w in ((1, u[r]), (0, v[r])) if w), self.modulus)
 
     # -- unit division
     def is_unit_monomial(self) -> bool:
@@ -217,10 +218,8 @@ class RingElem:
                 f"division by non-unit ring element: {unit.text()}")
         (g, _, _, _), p = next(iter(unit.terms.items()))
         inv_p = P_ONE.exact_div_term(p)
-        out = {}
-        for (g1, b1, r1, c1), p1 in self.terms.items():
-            out[(g1 - g, b1, r1, c1)] = p1 * inv_p
-        return RingElem(out, self.modulus)
+        return _collect((((g1 - g, b1, r1, c1), p1, inv_p)
+                         for (g1, b1, r1, c1), p1 in self.terms.items()), self.modulus)
 
     # -- rendering
     def sorted_terms(self):
@@ -260,33 +259,75 @@ class RingElem:
         return f"RingElem({self.text()}{mod})"
 
 
+def _collect(products, modulus) -> RingElem:
+    """The sum of a * b * monomial(key) over the (key, a, b) products.
+
+    In a quotient ring each key's g-power is folded by g^k = -1 first; then
+    the products that share a key are summed by one ParamPoly.dot.
+    """
+    groups: dict[tuple, list] = {}
+    for (g, b, r, c), x, y in products:
+        if modulus is not None and not 0 <= g < modulus:
+            sign, g = _fold_gamma(g, modulus)
+            if sign < 0:
+                # negate the factor with fewer terms
+                if len(x.num) < len(y.num):
+                    x = -x
+                else:
+                    y = -y
+        groups.setdefault((g, b, r, c), []).append((x, y))
+    terms = {}
+    for key, pairs in groups.items():
+        p = ParamPoly.dot(pairs)
+        if p:
+            terms[key] = p
+    return RingElem._wrap(terms, modulus)
+
+
+def _dot(pairs, modulus) -> RingElem:
+    """The sum of x * y over the (x, y) pairs of RingElems in one ring."""
+    return _collect((((g1 + g2, b1 + b2, r1 + r2, tuple(sorted(c1 + c2))), p1, p2)
+                     for x, y in pairs
+                     for (g1, b1, r1, c1), p1 in x.terms.items()
+                     for (g2, b2, r2, c2), p2 in y.terms.items()), modulus)
+
+
 # ---------------------------------------------------------------------------
 # ansatz series and level extraction
 
-def _c0_derivatives(max_j: int, depth: int) -> list[list[dict]]:
-    """slots[j][i]: coefficient of e^(g z^2/2 + b z) z^(r + j - i) in
-    Dz^j [e^(g z^2/2 + b z) z^r], for 0 <= j <= max_j and 0 <= i <= depth.
+def _c0_row(j: int, depth: int) -> list[dict]:
+    """row[i]: coefficient of e^(g z^2/2 + b z) z^(r + j - i) in
+    Dz^j [e^(g z^2/2 + b z) z^r], for 0 <= i <= depth.
 
-    Each slot is {(g, b, r): int}: d/dz only multiplies by g, b or r + e, so
-    the coefficients are integers.  Slots past depth are dropped.  The c_n
-    term needs no series of its own: it is this one with r replaced by r - n.
+    Each slot is {(g, b, r): int}, in closed form: Leibniz over e^phi and z^r,
+    phi = g z^2/2 + b z, with Dz^a e^phi = e^phi sum_q a!/(q! (a-2q)! 2^q)
+    g^q (g z + b)^(a-2q) (phi'' = g is constant) and Dz^m z^r = (r)_m z^(r-m),
+    the falling factorial expanded in powers of r.  The term
+    C(j, m) C(a, 2q) (2q-1)!! C(a-2q, t) s(m, p) g^(q+t) b^(a-2q-t) r^p, a = j - m,
+    sits at z^(r + j - i) with i = j + m - t >= 2m + 2q, so slots past depth
+    bound m, q and t and a row costs O(depth^4) whatever j is.  The c_n term
+    needs no series of its own: it is this one with r replaced by r - n.
     """
-    slots = [[{(0, 0, 0): 1}] + [{} for _ in range(depth)]]
-    for j in range(max_j):
-        # d/dz: c at offset e -> g*c at e+1, b*c at e, (r+e)*c at e-1
-        new = [{} for _ in range(depth + 1)]
-        for i, c in enumerate(slots[-1]):
-            e = j - i
-            for (g, b, r), p in c.items():
-                accumulate(new[i], (g + 1, b, r), p)
-                if i + 1 <= depth:
-                    accumulate(new[i + 1], (g, b + 1, r), p)
-                if i + 2 <= depth:
-                    accumulate(new[i + 2], (g, b, r + 1), p)
-                    if e:
-                        accumulate(new[i + 2], (g, b, r), p * e)
-        slots.append(new)
-    return slots
+    row = [{} for _ in range(depth + 1)]
+    for m in range(min(j, depth // 2) + 1):
+        a = j - m
+        fall = [(p, s) for p, s in enumerate(_falling(m)) if s]
+        for q in range(min(a, depth - 2 * m) // 2 + 1):
+            h = math.comb(j, m) * math.comb(a, 2 * q) * math.prod(range(1, 2 * q, 2))
+            for t in range(max(0, j + m - depth), a - 2 * q + 1):
+                slot, c = row[j + m - t], h * math.comb(a - 2 * q, t)
+                for p, s in fall:
+                    key = (q + t, a - 2 * q - t, p)
+                    slot[key] = slot.get(key, 0) + c * s
+    return [{key: v for key, v in slot.items() if v} for slot in row]
+
+
+def _falling(m: int) -> list[int]:
+    """s(m, p), p = 0..m: the coefficients of r^p in r(r-1)...(r-m+1)."""
+    poly = [1]
+    for s in range(m):
+        poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
 
 
 # cost guard: the deepest level substitute_ansatz collects
@@ -321,15 +362,13 @@ def _level_sum(L, l: int, c: tuple, r: RingElem) -> RingElem:
     c_n is c[n] where c holds it and the symbol c_n beyond; r is the symbol r
     or a value for it.
     """
-    terms = {}
+    pairs = []
     for n in range(l + 1):
         cn = c[n] if n < len(c) else RingElem({(0, 0, 0, (n,)): P_ONE}, r.modulus)
-        if not cn:
-            continue
-        shifted = L[l - n].subs("r", r + RingElem.from_param(ParamPoly.rational(-n), r.modulus))
-        for key, p in (cn * shifted).terms.items():
-            accumulate(terms, key, p)
-    return RingElem._wrap(terms, r.modulus)
+        if cn:
+            pairs.append((cn, L[l - n].subs(
+                "r", r + RingElem.from_param(ParamPoly.rational(-n), r.modulus))))
+    return _dot(pairs, r.modulus)
 
 
 def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEquation]:
@@ -339,7 +378,8 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
     relation is imposed by solve_levels, so level 0 shows the (g^k+1)^2
     factor explicitly).
 
-    Only the c_0 series is differentiated, and only the c_0 parts L_m(g, b, r)
+    Only the c_0 series is differentiated, one closed-form row _c0_row(j) per
+    Dz power j of the operator, and only the c_0 parts L_m(g, b, r)
     of levels 0..depth are built: c_n z^(r - n) is the c_0 term at r - n, so
     the c_n part of level l is L_(l-n)(g, b, r - n), which each LevelEquation
     derives from the L_m when its coeff is read.  Each D*L_m is accumulated in
@@ -359,7 +399,7 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
             raise ValueError(f"operator term z^{i}*Dz^{j} has i + j > 2k = {2 * k}")
     den = math.lcm(*(p.den for p in A.terms.values()))
     num = {ij: {e: c * (den // p.den) for e, c in p.num.items()} for ij, p in A.terms.items()}
-    slots = _c0_derivatives(max((j for _, j in A.terms), default=0), depth)
+    rows = {j: _c0_row(j, depth) for _, j in A.terms}
     parts = []
     for m in range(depth + 1):
         # part = D * L_m as {(g, b, r): {param exponent: int}}; z^i Dz^j puts
@@ -369,7 +409,7 @@ def substitute_ansatz(A: OperatorPoly, k: int, depth: int = 5) -> list[LevelEqua
             s = m - (2 * k - i - j)
             if s < 0:
                 continue
-            for key, q in slots[j][s].items():
+            for key, q in rows[j][s].items():
                 slot = part.setdefault(key, {})
                 for e, c in p.items():
                     accumulate(slot, e, c * q)
@@ -560,15 +600,15 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
                 elem = elem.subs("r", self.rho.rational_value())
             else:
                 elem = elem.rem_rho_quadratic(*self.rho.monic())
-        out = {}
+        products = []
         for key, p in elem.terms.items():
             if not key[3] or key[3][0] >= len(self.c):
-                accumulate(out, key, p)
+                products.append((key, p, P_ONE))
                 continue
             (n,) = key[3]
             for (g, b, r, _), q in self.c[n].terms.items():
-                accumulate(out, (key[0] + g, key[1] + b, key[2] + r, ()), p * q)
-        return RingElem(out, elem.modulus)
+                products.append(((key[0] + g, key[1] + b, key[2] + r, ()), p, q))
+        return _collect(products, elem.modulus)
 
     def residual(self, level: LevelEquation) -> RingElem:
         """The level in the quotient ring with every known value substituted."""
@@ -751,7 +791,7 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
         if len(branch.c) > n_max:
             break
         while len(L) <= l:
-            L.append(parts[len(L)].reduce(k).subs("g", branch.gamma).subs("b", branch.beta))
+            L.append(parts[len(L)].subs("g", branch.gamma).subs("b", branch.beta))
         eq = _level_sum(L, l, branch.c, rho)
         if eq:
             (branch,) = _advance(branch, eq, l, n_max)
@@ -800,16 +840,16 @@ def assemble_final_quadratic(k: int, *, from_oracle: bool = False) -> tuple[Frac
     The two g-powers g^(2k-2) and g^(k-2) merge with a relative sign; dividing
     by the leading -k^2 gives the monic pair to compare with
     rho_quadratic_general.  The coefficients come from the closed forms
-    crho_closed and gf_coefficient, or with from_oracle from the d/dz table
-    that substitute_ansatz differentiates, _c0_derivatives.
+    crho_closed and gf_coefficient, or with from_oracle from slot 4 of the
+    rows Dz^k and Dz^(2k) that substitute_ansatz builds, _c0_row.
     """
     if k < 5:
         raise ValueError("assembly stated for k >= 5")
     if from_oracle:
         # slot 4 of Dz^m holds z^(r + m - 4): its b-free g^(m-2) r^p terms
-        slots = _c0_derivatives(2 * k, 4)
-        c2k_r2, c2k_r, c0_2k = (slots[2 * k][4][2 * k - 2, 0, p] for p in (2, 1, 0))
-        ck_r2, ck_r, c0_k = (slots[k][4][k - 2, 0, p] for p in (2, 1, 0))
+        row2k, rowk = _c0_row(2 * k, 4)[4], _c0_row(k, 4)[4]
+        c2k_r2, c2k_r, c0_2k = (row2k[2 * k - 2, 0, p] for p in (2, 1, 0))
+        ck_r2, ck_r, c0_k = (rowk[k - 2, 0, p] for p in (2, 1, 0))
     else:
         c2k_r2, c2k_r, ck_r2, ck_r = crho_closed(k)
         c0_2k, c0_k = gf_coefficient(2 * k), gf_coefficient(k)

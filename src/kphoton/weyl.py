@@ -114,12 +114,35 @@ class ParamPoly:
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
+        return ParamPoly.dot(((self, other),))
+
+    @staticmethod
+    def dot(pairs) -> "ParamPoly":
+        """The sum of a * b over a sequence of (a, b) pairs of ParamPolys.
+
+        Every product goes straight onto the common denominator of all of
+        them, and the sum is normalised once, where summing the products
+        would run one content gcd per product and per addition.  One pair is
+        the product a * b, which needs no lcm; a * P_ONE is a itself.
+        """
+        if len(pairs) == 1:
+            (a, b), = pairs
+            if b is P_ONE:
+                return a
+            den = a.den * b.den
+        else:
+            den = math.lcm(*[a.den * b.den for a, b in pairs])
         out: dict[tuple[int, int, int], int] = {}
-        for (a, b, c), x in self.num.items():
-            for (a2, b2, c2), y in other.num.items():
-                e = (a + a2, b + b2, c + c2)
-                out[e] = out.get(e, 0) + x * y
-        return ParamPoly.over(out, self.den * other.den)
+        get = out.get
+        for a, b in pairs:
+            s = den // (a.den * b.den)
+            items = b.num.items()
+            for (x, y, z), u in a.num.items():
+                u *= s
+                for (x2, y2, z2), v in items:
+                    e = (x + x2, y + y2, z + z2)
+                    out[e] = get(e, 0) + u * v
+        return ParamPoly.over(out, den)
 
     def scale(self, q) -> "ParamPoly":
         return self * ParamPoly.rational(q)

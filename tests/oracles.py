@@ -9,9 +9,15 @@ another way, kept here so that the package ships only what its commands run:
   weights weyl.a_coeff.
 - apply_to_polynomial: operators acting on polynomials in z, the check on
   op_mul itself (product against composition).
-- leibniz_hermite_table: d^m [e^(g z^2/2) z^r] in closed form, the check on
-  the d/dz table asymptotics._c0_derivatives and on the closed forms
+- c0_derivatives: Dz^j [e^(g z^2/2 + b z) z^r] for every j up to a bound,
+  one d/dz step at a time, the route substitute_ansatz took before it built
+  each row the operator reads in closed form; the check on asymptotics._c0_row,
+  b-terms included.
+- leibniz_hermite_table: d^m [e^(g z^2/2) z^r] in closed form, the b = 0
+  check on asymptotics._c0_row and on the closed forms
   asymptotics.gf_coefficient and asymptotics.crho_closed.
+- subs_expanded: RingElem.subs by expanding value^n in plain dicts, term by
+  term, and folding g^k = -1 once, in the constructor, at the end.
 - displaced_oscillator_oracle: the exact k = 1, delta = 0 spectrum, the check
   on fock.build_hkp and fock.lowest_eigenvalues.
 - numpy_chains: fock.build_hkp as elementwise numpy arrays, the build the
@@ -43,7 +49,7 @@ import numpy as np
 
 from kphoton.asymptotics import QuadraticRoot, RingElem
 from kphoton.fock import _BISECTION_TOL, ModelParams, _not_finite
-from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, accumulate
+from kphoton.weyl import P_ONE, P_ZERO, OperatorPoly, ParamPoly, accumulate
 
 
 def scale(x: RingElem, q) -> RingElem:
@@ -114,6 +120,63 @@ def apply_to_polynomial(a: OperatorPoly, poly: dict[int, ParamPoly]) -> dict[int
             else:
                 out.pop(key, None)
     return out
+
+
+def c0_derivatives(max_j: int, depth: int) -> list[list[dict]]:
+    """slots[j][i]: coefficient of e^(g z^2/2 + b z) z^(r + j - i) in
+    Dz^j [e^(g z^2/2 + b z) z^r], for 0 <= j <= max_j and 0 <= i <= depth.
+
+    Each slot is {(g, b, r): int}, built by the D-step recurrence: d/dz only
+    multiplies by g, b or r + e, so the coefficients are integers.  Slots
+    past depth are dropped.
+    """
+    slots = [[{(0, 0, 0): 1}] + [{} for _ in range(depth)]]
+    for j in range(max_j):
+        # d/dz: c at offset e -> g*c at e+1, b*c at e, (r+e)*c at e-1
+        new = [{} for _ in range(depth + 1)]
+        for i, c in enumerate(slots[-1]):
+            e = j - i
+            for (g, b, r), p in c.items():
+                accumulate(new[i], (g + 1, b, r), p)
+                if i + 1 <= depth:
+                    accumulate(new[i + 1], (g, b + 1, r), p)
+                if i + 2 <= depth:
+                    accumulate(new[i + 2], (g, b, r + 1), p)
+                    if e:
+                        accumulate(new[i + 2], (g, b, r), p * e)
+        slots.append(new)
+    return slots
+
+
+def subs_expanded(x: RingElem, symbol: str, value) -> RingElem:
+    """x with value (a RingElem or rational) substituted for g, b or r, in
+    value's ring.
+
+    value^n is expanded by plain dict products with unfolded keys, each term
+    of x is multiplied out against it, and the relation g^k = -1 is imposed
+    once, by the RingElem constructor, on the sum.
+    """
+    i = "gbr".index(symbol)
+    if not isinstance(value, RingElem):
+        value = RingElem.from_param(ParamPoly.rational(value), x.modulus)
+
+    def times(u: dict, v: dict) -> dict:
+        out = {}
+        for (g1, b1, r1, c1), p in u.items():
+            for (g2, b2, r2, c2), q in v.items():
+                key = (g1 + g2, b1 + b2, r1 + r2, tuple(sorted(c1 + c2)))
+                out[key] = out.get(key, P_ZERO) + p * q
+        return out
+
+    out = {}
+    for key, p in x.terms.items():
+        power = {(0, 0, 0, ()): P_ONE}
+        for _ in range(key[i]):
+            power = times(power, value.terms)
+        rest = tuple(0 if j == i else e for j, e in enumerate(key[:3])) + (key[3],)
+        for k2, q in times({rest: p}, power).items():
+            out[k2] = out.get(k2, P_ZERO) + q
+    return RingElem(out, value.modulus)
 
 
 def _falling(n: int) -> list[int]:

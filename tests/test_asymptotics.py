@@ -14,7 +14,7 @@ from kphoton.asymptotics import (
     RingElem,
     UnsolvableLevel,
     _advance,
-    _c0_derivatives,
+    _c0_row,
     _solve_beta,
     _solve_c,
     _solve_rho,
@@ -30,7 +30,7 @@ from kphoton.asymptotics import (
     substitute_ansatz,
 )
 from kphoton.weyl import OperatorPoly, ParamPoly, build_reduced_operator
-from oracles import leibniz_hermite_table, satisfies_quadratic, scale
+from oracles import c0_derivatives, leibniz_hermite_table, satisfies_quadratic, scale, subs_expanded
 
 W = ParamPoly.omega()
 E = ParamPoly.energy()
@@ -85,6 +85,35 @@ class TestRingElem:
         val = G(3, k)
         got = expr.subs("b", val)
         assert got == val * val * scale(RingElem.one(k), 3) + RingElem.gamma(2, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 2 * 4 + 1), st.integers(0, 3),
+                                     st.integers(0, 3), st.sampled_from([(), (1,), (2,)])),
+                           st.sampled_from([W, -E, ParamPoly.rational(Fraction(3, 2)),
+                                            W * E + ParamPoly.rational(Fraction(-1, 6))]),
+                           max_size=6),
+           st.sampled_from("gbr"), st.integers(0, 4), st.integers(1, 3 * 4),
+           st.sampled_from([1, -1, Fraction(-5, 3), W, W.scale(Fraction(2, 7)) + E]),
+           st.booleans())
+    def test_subs_matches_expansion(self, terms, symbol, kind, p, q, free):
+        # powers of the monomials +-g^p and q*g^p fold past k and past 2k;
+        # zero and a binomial are values too; a free-g element goes into the
+        # value's ring
+        k = 4
+        x = RingElem(terms, None if free else k)
+        q = q if isinstance(q, ParamPoly) else ParamPoly.rational(q)
+        value = [RingElem.gamma(p, k), scale(RingElem.gamma(p, k), q),
+                 RingElem.from_param(q, k), RingElem.zero(k),
+                 RingElem.gamma(p, k) + RingElem.from_param(q, k)][kind]
+        assert x.subs(symbol, value) == subs_expanded(x, symbol, value)
+        if not free:
+            assert x.subs(symbol, Fraction(-7, 4)) == subs_expanded(x, symbol, Fraction(-7, 4))
+
+    def test_subs_refuses_a_negative_power(self):
+        # a free-g element may hold g^-1; no power of the value stands for it
+        x = RingElem({(-1, 0, 0, ()): ParamPoly.rational(1)})
+        with pytest.raises(ValueError, match="negative power of g"):
+            x.subs("g", RingElem.gamma(1, 3))
 
     def test_rem_rho_quadratic(self):
         # r^2 + 3r + 2 kills r = -1 and r = -2
@@ -191,7 +220,7 @@ class TestQuadraticRoot:
 
 class TestAnsatzSeries:
     def test_derivative_rule_single_term(self):
-        d = _c0_derivatives(1, 5)[1]
+        d = _c0_row(1, 5)
         # c_0 at offset 0 -> g c_0 at +1, b c_0 at 0, r c_0 at -1
         assert d[0] == {(1, 0, 0): 1}
         assert d[1] == {(0, 1, 0): 1}
@@ -199,22 +228,27 @@ class TestAnsatzSeries:
         assert d[3] == {}
 
     def test_window_truncation(self):
-        slots = _c0_derivatives(3, 5)
-        assert len(slots) == 4
-        assert slots[3][5]                     # offset -2, the last slot kept
-        assert len(slots[3]) == 6              # r(r-1)(r-2) at -3 is past depth
+        row = _c0_row(3, 5)
+        assert row[5]                          # offset -2, the last slot kept
+        assert len(row) == 6                   # r(r-1)(r-2) at -3 is past depth
 
     @pytest.mark.parametrize("m", range(0, 25))
     def test_c0_terms_match_brute_force_oracle(self, m):
         # at b = 0 slot i is d^m e^(g z^2/2) z^r at z^(r+m-i); Dz^m reaches
         # down to z^(r-m), so slots 0..2m are every slot
-        slots = _c0_derivatives(m, 2 * m)[m]
+        row = _c0_row(m, 2 * m)
         table = leibniz_hermite_table(m)
-        for i, slot in enumerate(slots):
+        for i, slot in enumerate(row):
             assert all(type(v) is int for v in slot.values())
             got = {(g, r): v for (g, b, r), v in slot.items() if b == 0}
             want = {(g, r): v for (g, r, e), v in table.items() if e == m - i}
             assert got == want
+
+    @pytest.mark.parametrize("depth, max_j", [(5, 130), (32, 48)])
+    def test_row_matches_recurrence(self, depth, max_j):
+        # every slot, b-terms included, against the D-step recurrence
+        for j, slots in enumerate(c0_derivatives(max_j, depth)):
+            assert _c0_row(j, depth) == slots, j
 
 
 class TestSubstituteAnsatz:

@@ -163,6 +163,34 @@ class TestParamPolyAgainstFractionDicts:
             assert (left.num, left.den) == (right.num, right.den)
 
 
+class TestDot:
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(_DICT, _DICT), min_size=1, max_size=4))
+    def test_dot_is_the_sum_of_products(self, pairs):
+        # mixed denominators and negative exponents from the strategies
+        polys = [(ParamPoly(a), ParamPoly(b)) for a, b in pairs]
+        got = ParamPoly.dot(polys)
+        want = {}
+        for a, b in pairs:
+            want = _ref_add(want, _ref_mul(a, b))
+        assert got.terms == want and _is_canonical(got)
+        total = ParamPoly()
+        for a, b in polys:
+            total = total + a * b
+        assert (got.num, got.den) == (total.num, total.den)
+        # a sum that cancels to zero
+        a, b = polys[0]
+        assert ParamPoly.dot(polys + [(-a, b)] + [(x, -y) for x, y in polys[1:]]).is_zero()
+
+    def test_dot_fixtures(self):
+        half, third = rat(Fraction(1, 2)), rat(Fraction(1, 3))
+        inv = ParamPoly.monomial(-1, 0, 2, Fraction(1, 6))
+        assert ParamPoly.dot([(half, W), (third, W)]) == W.scale(Fraction(5, 6))
+        assert ParamPoly.dot([(half, rat(2)), (third, rat(-3))]).is_zero()
+        assert ParamPoly.dot([(inv, W)]) == ParamPoly.monomial(0, 0, 2, Fraction(1, 6))
+        assert ParamPoly.dot([]) == ParamPoly()
+
+
 # small operators: up to four terms z^i Dz^j, i, j <= 5, with ParamPoly
 # coefficients drawn like the ParamPoly tests' above
 _OPERATOR = st.builds(
