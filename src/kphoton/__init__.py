@@ -37,8 +37,8 @@ class OutOfScope(Exception):
 _NAMES = {
     "asymptotics": (
         "ExponentBranch", "LevelEquation", "QuadraticRoot", "RingElem",
-        "assemble_final_quadratic", "c_recursion", "crho_closed", "gf_coefficient",
-        "rho_quadratic_general", "solve_levels", "substitute_ansatz"),
+        "assemble_final_quadratic", "c_recursion", "crho_closed", "exponent_pipeline",
+        "gf_coefficient", "rho_quadratic_general", "solve_levels", "substitute_ansatz"),
     "verdict": (
         "NormalizabilityReport", "Verdict", "VerdictReport", "beta_unit_modulus",
         "critical_lines", "normalizability", "symmetry_divergence", "verdict"),

@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import DivisionByNonUnit, OutOfScope, UnsolvableLevel
-from .weyl import OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate
+from .weyl import (OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate,
+                   build_reduced_operator)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +530,17 @@ class QuadraticRoot:
     def is_rational(self) -> bool:
         return self.surd.is_zero()
 
+    def at(self, omega) -> tuple[Fraction, Fraction, Fraction]:
+        """(r, s, d) with this root r + s*sqrt(d) at rational omega; s = d = 0
+        for a rational root.  A part that depends on d or E raises ValueError."""
+        r = self.rational
+        s, d = (P_ZERO, P_ZERO) if self.is_rational() else (self.surd, self.disc)
+        for p, what in ((r, "rho rational part"), (s, "rho surd part"), (d, "rho discriminant")):
+            for name in ("d", "E"):
+                if p.uses(name):
+                    raise ValueError(f"{what} unexpectedly depends on {name}")
+        return tuple(p.evaluate(omega, 0, 0) for p in (r, s, d))
+
     def rational_value(self) -> ParamPoly:
         if not self.is_rational():
             raise ValueError("root has a surd part")
@@ -554,11 +566,6 @@ class QuadraticRoot:
 # ---------------------------------------------------------------------------
 # branch solving
 
-def _gamma_root(k: int, m: int) -> RingElem:
-    # root m of g^k = -1 is g^(2m+1); the constructor folds it to +-g^p, p < k
-    return RingElem.gamma(2 * m + 1, k)
-
-
 class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_index resonant",
                                 defaults=((), 0, ()))):
     """One asymptotic branch, instantiated at the gamma root gamma_index.
@@ -582,7 +589,7 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
     @property
     def gamma(self) -> RingElem:
         """+-g^p realizing the root g^(2m+1) in the quotient ring."""
-        return _gamma_root(self.k, self.gamma_index)
+        return RingElem.gamma(self.gamma_power, self.k)
 
     def substitute(self, elem: RingElem) -> RingElem:
         """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
@@ -613,11 +620,6 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
     def residual(self, level: LevelEquation) -> RingElem:
         """The level in the quotient ring with every known value substituted."""
         return self.substitute(level.coeff.reduce(self.k))
-
-
-def gamma_root_elements(k: int) -> list[RingElem]:
-    """The k roots of g^k = -1 as ring elements: root m is g^(2m+1) reduced."""
-    return [_gamma_root(k, m) for m in range(k)]
 
 
 def _solve_beta(eq: RingElem, level: int) -> list[RingElem]:
@@ -748,10 +750,12 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
             nxt.extend(_advance(br, eq, lv.level, 4) if eq else [br])
         partial = nxt
 
-    # root-major, and _advance keeps the beta and rho roots in solve order
+    # root-major, and _advance keeps the beta and rho roots in solve order;
+    # root m of g^k = -1 is g^(2m+1)
+    roots = [RingElem.gamma(2 * m + 1, k) for m in range(k)]
     branches = [br._replace(gamma_index=m, beta=br.beta.subs("g", groot),
                             c=tuple(ci.subs("g", groot) for ci in br.c))
-                for m, groot in enumerate(gamma_root_elements(k)) for br in partial]
+                for m, groot in enumerate(roots) for br in partial]
 
     for br in branches[: max(1, len(branches) // k)]:
         # the m = 0 branches are the symbolic solution.  Every other branch
@@ -764,6 +768,24 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
                 raise UnsolvableLevel(lv.level, residual.text(),
                                       "branch fails back-substitution")
     return branches
+
+
+@lru_cache(maxsize=None)
+def exponent_pipeline(k: int) -> tuple[tuple[LevelEquation, ...], tuple[ExponentBranch, ...]]:
+    """(levels, branches): levels 0..5 of build_reduced_operator(k) and the
+    branches solve_levels reads off them, computed once per k.
+
+    Both readers of the branches, the exponent table and the verdict, need E
+    symbolic, so an exponent that depends on E or Delta raises RuntimeError.
+    """
+    levels = substitute_ansatz(build_reduced_operator(k), k, 5)
+    branches = solve_levels(levels, k)
+    for b in branches:
+        if any(p.uses(n) for p in (b.rho.rational, b.rho.surd, b.rho.disc) for n in "Ed"):
+            raise RuntimeError("exponent depends on E or Delta")
+        if any(b.beta.uses_param(n) for n in "Ed"):
+            raise RuntimeError("beta depends on E or Delta")
+    return tuple(levels), tuple(branches)
 
 
 def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],

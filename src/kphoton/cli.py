@@ -168,14 +168,13 @@ def _cmd_ode(ns) -> str:
 
 
 def _cmd_exponents(ns) -> str:
-    from .asymptotics import solve_levels, substitute_ansatz
-    from .weyl import build_reduced_operator
+    from .asymptotics import exponent_pipeline
     if ns.k == 2:
         raise CliError("k = 2 is out of scope for the exponent pipeline: the "
                        "Gaussian exponent is not a root of unity there; use "
                        "the sweep subcommand for the truncation numerics")
     k = _check_k(ns)
-    branches = solve_levels(substitute_ansatz(build_reduced_operator(k), k, 5), k)
+    _, branches = exponent_pipeline(k)
     rows = [{"gamma_power": b.gamma_power,
              "gamma": b.gamma.text(),
              "beta": b.beta.text(),

@@ -45,7 +45,7 @@ class ModelParams(namedtuple("ModelParams", "k g omega delta")):
     __slots__ = ()
 
     def __new__(cls, k: int, g: float, omega: float, delta: float):
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         g, omega, delta = float(g), float(omega), float(delta)
         if not all(map(math.isfinite, (g, omega, delta))):

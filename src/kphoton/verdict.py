@@ -14,17 +14,8 @@ import hashlib
 import json
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
-from .asymptotics import (
-    ExponentBranch,
-    LevelEquation,
-    OutOfScope,
-    QuadraticRoot,
-    solve_levels,
-    substitute_ansatz,
-)
-from .weyl import ParamPoly, build_reduced_operator
+from .asymptotics import ExponentBranch, exponent_pipeline
 
 
 class Verdict(enum.Enum):
@@ -89,22 +80,6 @@ def _sign_x_plus_y_sqrt_d(x: Fraction, y: Fraction, d: Fraction) -> int:
     return (1 if x > 0 else -1) if lhs > rhs else (1 if y > 0 else -1)
 
 
-def _eval_param(p: ParamPoly, omega: Fraction, what: str) -> Fraction:
-    for name in ("d", "E"):
-        if p.uses(name):
-            raise ValueError(f"{what} unexpectedly depends on {name}")
-    return p.evaluate(omega, 0, 0)
-
-
-def _rho_at(rho: QuadraticRoot, omega: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """rho = r + s*sqrt(d) at omega as (r, s, d); s = d = 0 for a rational root."""
-    r = _eval_param(rho.rational, omega, "rho rational part")
-    if rho.is_rational():
-        return r, Fraction(0), Fraction(0)
-    return (r, _eval_param(rho.surd, omega, "rho surd part"),
-            _eval_param(rho.disc, omega, "rho discriminant"))
-
-
 class NormalizabilityReport(namedtuple("NormalizabilityReport", "branch sign_vs_threshold")):
     """Branch-level outcome of the Re(rho) < -1/2 test at rational omega:
     sign_vs_threshold is the certified sign of Re(rho) + 1/2."""
@@ -116,17 +91,13 @@ class NormalizabilityReport(namedtuple("NormalizabilityReport", "branch sign_vs_
     def normalizable(self) -> bool:
         return self.sign_vs_threshold < 0
 
-    @property
-    def beta_modulus_flag(self) -> bool:
-        return beta_unit_modulus(self.branch)
-
 
 def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     """Certify Re(rho) against -1/2 for one branch at rational omega > 0."""
     omega = Fraction(omega)
     if omega <= 0:
         raise ValueError("omega must be positive")
-    r, s, d = _rho_at(branch.rho, omega)
+    r, s, d = branch.rho.at(omega)
     sign = _sign_x_plus_y_sqrt_d(r + Fraction(1, 2), s, max(d, 0))
     return NormalizabilityReport(branch, sign)
 
@@ -146,12 +117,6 @@ def symmetry_divergence(branch: ExponentBranch) -> bool:
 
 # ---------------------------------------------------------------------------
 # the per-k verdict
-
-@lru_cache(maxsize=None)
-def _exponent_pipeline(k: int) -> tuple[tuple[LevelEquation, ...], tuple[ExponentBranch, ...]]:
-    levels = substitute_ansatz(build_reduced_operator(k), k, 5)
-    return tuple(levels), tuple(solve_levels(levels, k))
-
 
 class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports trace")):
     """The verdict at (k, omega, delta): one NormalizabilityReport per branch
@@ -197,7 +162,7 @@ class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports t
             out += "critical lines (theta/pi): " + ", ".join(map(str, self.lines)) + "\n"
         for rep in self.reports:
             br = rep.branch
-            r, s, d = _rho_at(br.rho, self.omega)
+            r, s, d = br.rho.at(self.omega)
             rho = str(r)
             if d:
                 sign, unit = "-" if s < 0 else "+", "" if d > 0 else "i*"
@@ -218,13 +183,13 @@ def _divergent(branch: ExponentBranch) -> bool | None:
 
 
 def _rho_json(branch: ExponentBranch, omega: Fraction) -> dict:
-    r, s, d = _rho_at(branch.rho, omega)
+    r, s, d = branch.rho.at(omega)
     if d == 0:
         return {"re": str(r)}
     return {"re": str(r), "surd" if d > 0 else "im": {"coeff": str(s), "disc": str(abs(d))}}
 
 
-def _build_trace(k, levels, branches, reports) -> dict:
+def _build_trace(k, levels, branches) -> dict:
     return {
         "k": k,
         "levels": [{"level": lv.level, "coeff": lv.text()} for lv in levels],
@@ -239,9 +204,9 @@ def _build_trace(k, levels, branches, reports) -> dict:
                 "rho": b.rho.text(),
                 "c": [ci.text() for ci in b.c],
                 "resonant": list(b.resonant),
-                "beta_unit_modulus": rep.beta_modulus_flag,
+                "beta_unit_modulus": beta_unit_modulus(b),
             }
-            for b, rep in zip(branches, reports)
+            for b in branches
         ],
         "E_absent_from_exponents": True,
     }
@@ -255,7 +220,7 @@ def verdict(k: int, omega, delta) -> VerdictReport:
     k>=3: exponent pipeline + per-branch normalizability; not self-adjoint
     exactly when normalizable eigenfunctions exist for every complex E.
     """
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     omega, delta = Fraction(omega), Fraction(delta)
     if omega <= 0:
@@ -272,20 +237,13 @@ def verdict(k: int, omega, delta) -> VerdictReport:
             {"k": 2, "note": "quadratic coupling: the Gaussian exponent is "
                              "not a root of unity; see the truncation "
                              "numerics for the collapse at g = omega/2"})
-    levels, branches = _exponent_pipeline(k)
-
-    # the whole argument needs E symbolic: no exponent may depend on it
-    for b in branches:
-        for poly in (b.rho.rational, b.rho.surd, b.rho.disc):
-            if poly.uses("E") or poly.uses("d"):
-                raise RuntimeError("exponent depends on E or Delta")
-        if b.beta.uses_param("E") or b.beta.uses_param("d"):
-            raise RuntimeError("beta depends on E or Delta")
-
+    # the whole argument needs E symbolic: exponent_pipeline refuses an
+    # exponent that depends on it
+    levels, branches = exponent_pipeline(k)
     reports = tuple(normalizability(b, omega) for b in branches)
     if not all(r.normalizable for r in reports):
         raise RuntimeError(
             "unexpected non-normalizable branch; the k >= 3 theory "
             "guarantees Re(rho) < -1/2")
-    trace = _build_trace(k, levels, branches, reports)
+    trace = _build_trace(k, levels, branches)
     return VerdictReport(k, omega, delta, Verdict.NotSelfAdjoint, reports, trace)

@@ -38,6 +38,11 @@ another way, kept here so that the package ships only what its commands run:
 
 Tests import them as ``from oracles import ...``: pytest puts this directory
 on sys.path because it holds test modules and no __init__.py.
+
+ParamPoly and RingElem compare equal only within one loaded copy of the
+package: their __eq__ tests isinstance against its own class.  A check that
+loads two trees side by side, such as a byte comparison of a parent commit
+and a change, must compare the values' text() renderings instead.
 """
 
 from __future__ import annotations

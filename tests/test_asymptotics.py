@@ -22,7 +22,6 @@ from kphoton.asymptotics import (
     assemble_final_quadratic,
     c_recursion,
     crho_closed,
-    gamma_root_elements,
     gf_coefficient,
     rho_quadratic_general,
     ring_sqrt,
@@ -176,6 +175,16 @@ class TestRingSqrt:
 
 
 class TestQuadraticRoot:
+    @pytest.mark.parametrize("root, message", [
+        (QuadraticRoot(E), "rho rational part unexpectedly depends on E"),
+        (QuadraticRoot(W, ParamPoly.delta(), W), "rho surd part unexpectedly depends on d"),
+        (QuadraticRoot(W, W, E), "rho discriminant unexpectedly depends on E"),
+    ])
+    def test_at_refuses_d_and_E(self, root, message):
+        # only omega has a value: a root in d or E has none to give
+        with pytest.raises(ValueError, match=message):
+            root.at(1)
+
     def test_rho4_normal_form(self):
         b = ParamPoly.rational(5)
         c = (W * W).scale(Fraction(1, 16)) + ParamPoly.rational(Fraction(21, 4))
@@ -391,7 +400,7 @@ class TestSolveLevels:
             assert prod.scalar_part() in (W, -W)
 
     def test_k3_gamma_roots(self):
-        roots = gamma_root_elements(3)
+        roots = [ExponentBranch(3, m, None, None).gamma for m in range(3)]
         assert roots[0] == RingElem.gamma(1, 3)
         assert roots[1] == scale(RingElem.one(3), -1)
         assert roots[2] == scale(RingElem.gamma(2, 3), -1)

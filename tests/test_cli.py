@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from kphoton import asymptotics, cli, fock
 from kphoton.cli import main
+from kphoton.weyl import P_ZERO, ParamPoly
 
 
 def _schema(name: str) -> dict:
@@ -582,10 +583,19 @@ class TestPlumbing:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.fixture
+    def cold_pipeline(self):
+        # exponent_pipeline caches its result per k; a cached k would never
+        # reach a patched solve_levels
+        asymptotics.exponent_pipeline.cache_clear()
+        yield
+        asymptotics.exponent_pipeline.cache_clear()
+
+    @pytest.mark.usefixtures("cold_pipeline")
     def test_unsolvable_level_maps_to_3(self, capsys, monkeypatch):
         def boom(levels, k):
             raise asymptotics.UnsolvableLevel(7, "g2*c4", "nonzero residual")
-        # the exponents handler imports solve_levels from its module on each call
+        # exponent_pipeline looks solve_levels up in its module on each call
         monkeypatch.setattr(asymptotics, "solve_levels", boom)
         assert run(capsys, "exponents", "--k", "5") == (
             3, "", "kphoton: unsolvable level 7: nonzero residual; residual: g2*c4\n")
@@ -594,12 +604,32 @@ class TestPlumbing:
         (asymptotics.OutOfScope, 2, "kphoton: "),
         (asymptotics.DivisionByNonUnit, 3, "kphoton: solver failure: "),
     ])
+    @pytest.mark.usefixtures("cold_pipeline")
     def test_exact_failures_map_to_their_codes(self, capsys, monkeypatch, error, code, prefix):
         def boom(levels, k):
             raise error("raised in the pipeline")
         monkeypatch.setattr(asymptotics, "solve_levels", boom)
         assert run(capsys, "exponents", "--k", "5") == (
             code, "", f"{prefix}raised in the pipeline\n")
+
+    @pytest.mark.parametrize("beta, rho, what", [
+        (P_ZERO, ParamPoly.energy(), "exponent"),
+        (P_ZERO, ParamPoly.delta(), "exponent"),
+        (ParamPoly.energy(), ParamPoly.rational(-2), "beta"),
+        (ParamPoly.delta(), ParamPoly.rational(-2), "beta"),
+    ], ids=["rho-E", "rho-d", "beta-E", "beta-d"])
+    @pytest.mark.parametrize("args", [
+        ("exponents", "--k", "5"),
+        ("verdict", "--k", "5", "--omega", "1", "--delta", "0"),
+    ], ids=["exponents", "verdict"])
+    @pytest.mark.usefixtures("cold_pipeline")
+    def test_exponent_in_E_or_delta_maps_to_3(self, capsys, monkeypatch, beta, rho, what, args):
+        # both readers of the branches need E symbolic
+        branch = asymptotics.ExponentBranch(5, 0, asymptotics.RingElem.from_param(beta, 5),
+                                            asymptotics.QuadraticRoot(rho))
+        monkeypatch.setattr(asymptotics, "solve_levels", lambda levels, k: [branch])
+        assert run(capsys, *args) == (
+            3, "", f"kphoton: solver failure: {what} depends on E or Delta\n")
 
     def test_solver_failure_maps_to_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

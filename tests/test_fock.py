@@ -43,6 +43,7 @@ class TestModelParams:
         dict(k=2, g=1, omega=-1, delta=0),
         dict(k=2, g=float("nan"), omega=1, delta=0),
         dict(k=2, g=1, omega=1, delta=float("inf")),
+        dict(k=True, g=1, omega=1, delta=0),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -693,7 +694,7 @@ class TestLazyImport:
             "Verdict", "VerdictReport", "a_coeff", "assemble_final_quadratic",
             "beta_unit_modulus", "build_hkp", "build_reduced_operator", "c_recursion",
             "classify_convergence", "convergence_sweep", "crho_closed", "critical_lines",
-            "gf_coefficient", "jck_exact_spectrum", "lowest_eigenvalues",
+            "exponent_pipeline", "gf_coefficient", "jck_exact_spectrum", "lowest_eigenvalues",
             "normalizability", "rho_quadratic_general", "solve_levels",
             "substitute_ansatz", "sweep_csv", "sweep_summary", "symmetry_divergence",
             "verdict"]

@@ -9,11 +9,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from kphoton.asymptotics import ExponentBranch, QuadraticRoot, RingElem
+from kphoton.asymptotics import ExponentBranch, QuadraticRoot, RingElem, exponent_pipeline
 from kphoton.verdict import (
     Verdict,
-    _exponent_pipeline,
-    _rho_at,
     _sign_x_plus_y_sqrt_d,
     beta_unit_modulus,
     critical_lines,
@@ -63,13 +61,13 @@ class TestCriticalLines:
 
 class TestBetaUnitModulus:
     def test_k3_pipeline_branches_on_own_lines(self):
-        _, branches = _exponent_pipeline(3)
+        _, branches = exponent_pipeline(3)
         assert len(branches) == 6
         for b in branches:
             assert beta_unit_modulus(b)
 
     def test_zero_beta_is_unit_modulus(self):
-        _, branches = _exponent_pipeline(5)
+        _, branches = exponent_pipeline(5)
         for b in branches:
             assert b.beta.is_zero()
             assert beta_unit_modulus(b)
@@ -82,14 +80,14 @@ class TestBetaUnitModulus:
     def test_mismatched_line_fails(self):
         # a k=3 root-0 beta carried onto root 1 picks up a cos(pi/6) factor
         # on that root's line and the real part survives
-        _, branches = _exponent_pipeline(3)
+        _, branches = exponent_pipeline(3)
         b = next(br for br in branches if br.gamma_index == 0)
         assert beta_unit_modulus(b)
         assert not beta_unit_modulus(b._replace(gamma_index=1))
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_pipeline_invariant(self, k):
-        _, branches = _exponent_pipeline(k)
+        _, branches = exponent_pipeline(k)
         for b in branches:
             assert beta_unit_modulus(b)
 
@@ -147,39 +145,39 @@ class TestCertifiedSign:
 
 class TestNormalizability:
     def test_k3_rho_minus_two(self):
-        _, branches = _exponent_pipeline(3)
+        _, branches = exponent_pipeline(3)
         for b in branches:
             rep = normalizability(b, 1)
-            assert _rho_at(b.rho, 1) == (F(-2), 0, 0)
+            assert b.rho.at(1) == (F(-2), 0, 0)
             assert rep.sign_vs_threshold == -1
             assert rep.normalizable
-            assert rep.beta_modulus_flag
+            assert beta_unit_modulus(rep.branch)
 
     def test_k4_omega_4_double_root(self):
-        _, branches = _exponent_pipeline(4)
+        _, branches = exponent_pipeline(4)
         for b in branches:
             rep = normalizability(b, 4)
-            r, _, d = _rho_at(b.rho, 4)
+            r, _, d = b.rho.at(4)
             assert r == F(-5, 2) and d == 0
             assert rep.normalizable
 
     def test_k4_omega_5_complex_pair(self):
-        _, branches = _exponent_pipeline(4)
+        _, branches = exponent_pipeline(4)
         for b in branches:
             rep = normalizability(b, 5)
-            r, _, d = _rho_at(b.rho, 5)
+            r, _, d = b.rho.at(5)
             assert r == F(-5, 2) and d < 0
             assert rep.normalizable
 
     def test_k4_omega_1_real_pair(self):
-        _, branches = _exponent_pipeline(4)
+        _, branches = exponent_pipeline(4)
         reps = [normalizability(b, 1) for b in branches]
         for rep in reps:
-            assert _rho_at(rep.branch.rho, 1)[2] > 0      # irrational real value
+            assert rep.branch.rho.at(1)[2] > 0      # irrational real value
             assert rep.sign_vs_threshold == -1
             assert rep.normalizable
         # -5/2 +- sqrt(15)/4, as (rational, surd, disc)
-        roots = {_rho_at(r.branch.rho, 1) for r in reps}
+        roots = {r.branch.rho.at(1) for r in reps}
         assert roots == {(F(-5, 2), F(1, 4), F(15)), (F(-5, 2), F(-1, 4), F(15))}
 
     def test_synthetic_boundary_and_failures(self):
@@ -191,7 +189,7 @@ class TestNormalizability:
         assert no.sign_vs_threshold == 1 and not no.normalizable
 
     def test_rejects_nonpositive_omega(self):
-        _, branches = _exponent_pipeline(3)
+        _, branches = exponent_pipeline(3)
         with pytest.raises(ValueError):
             normalizability(branches[0], 0)
         with pytest.raises(ValueError):
@@ -216,7 +214,7 @@ class TestSymmetryDivergence:
 
     @pytest.mark.parametrize("k", range(5, 13))
     def test_pipeline_split(self, k):
-        _, branches = _exponent_pipeline(k)
+        _, branches = exponent_pipeline(k)
         plus, minus = F(1 - k, 2), F(5 - 3 * k, 2)
         seen = set()
         for b in branches:
@@ -226,7 +224,7 @@ class TestSymmetryDivergence:
         assert seen == {plus, minus}
 
     def test_surd_rho_refused(self):
-        _, branches = _exponent_pipeline(4)
+        _, branches = exponent_pipeline(4)
         with pytest.raises(ValueError):
             symmetry_divergence(branches[0])
 
@@ -262,7 +260,7 @@ class TestVerdict:
         rep = verdict(3, 1, F(1, 2))
         assert rep.verdict is Verdict.NotSelfAdjoint
         assert len(rep.reports) == 6
-        assert all(_rho_at(r.branch.rho, 1) == (F(-2), 0, 0) for r in rep.reports)
+        assert all(r.branch.rho.at(1) == (F(-2), 0, 0) for r in rep.reports)
         obj = rep.to_json_obj()
         assert [b["rho"] for b in obj["branches"]] == [{"re": "-2"}] * 6
         assert all(b["symmetry_divergent"] for b in obj["branches"])
@@ -278,6 +276,8 @@ class TestVerdict:
         for bad in (0, -1, 2.0, "3"):
             with pytest.raises(ValueError):
                 verdict(bad, 1, 1)
+        with pytest.raises(ValueError, match="k must be a positive integer, got True"):
+            verdict(True, 1, 0)
         with pytest.raises(ValueError):
             verdict(3, 0, 1)
         with pytest.raises(ValueError):
@@ -340,7 +340,7 @@ class TestVerdict:
         rep = verdict(k, omega, F(1, 2))
         assert rep.verdict is Verdict.NotSelfAdjoint
         assert all(r.normalizable for r in rep.reports)
-        assert all(r.beta_modulus_flag for r in rep.reports)
+        assert all(beta_unit_modulus(r.branch) for r in rep.reports)
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_energy_never_in_exponents(self, k):
