@@ -13,12 +13,18 @@ level m, level l is sum_n c_n L_(l-n)(g, b, r - n) (the Frobenius structure
 of the recurrence).  substitute_ansatz keeps only the L_m, as ring elements,
 and one sum writes out the shifted copies with RingElem.subs: for a level when
 it is read (the exponent solve and the verdict read levels 0..5), and for the
-tail recursion, with gamma and beta substituted and r = rho.  w, d, E enter when
-substitute_ansatz applies the operator; every coefficient in (w, d, E) is a
-ParamPoly, integer numerators over one common denominator, so the levels and
-the tail are built in integer arithmetic.  Every product of ring elements and
+tail recursion, with the L_m taken to the branch's root, beta substituted and
+r = rho.  w, d, E enter when substitute_ansatz applies the operator; every
+coefficient in (w, d, E) is a ParamPoly, integer numerators over one common
+denominator, so the levels and the tail are built in integer arithmetic.  Every product of ring elements and
 every substitution is one grouping by output key, with one ParamPoly.dot, and
 so one content gcd, per key.
+
+The branches at root m of g^k = -1 are root 0's images under the ring map
+g -> g^(2m+1), which sends each monomial to a monomial.
+ExponentBranch.at_root is the one place where a branch reaches its root: it
+multiplies every key's g-power by 2m + 1, and the quotient-ring constructor
+folds g^k = -1.  RingElem.subs substitutes only b and r, within one ring.
 
 Symbol conventions in rendered output: g is the Gaussian exponent generator
 (g^k = -1), b the linear exponent, r the power-law exponent, c0..cL the tail
@@ -46,7 +52,7 @@ def _fold_gamma(p: int, k: int) -> tuple[int, int]:
     return (-1 if q % 2 else 1), r
 
 
-# the symbols RingElem.subs and RingElem.poly_in accept, by key position
+# the symbols RingElem.poly_in accepts, by key position; RingElem.subs takes b and r
 _SYMBOLS = ("g", "b", "r")
 
 
@@ -107,7 +113,7 @@ class RingElem:
 
     def _check(self, other: "RingElem"):
         if self.modulus != other.modulus:
-            raise ValueError("mixed ring moduli")
+            raise ValueError(f"mixed ring moduli: {self.modulus} and {other.modulus}")
 
     def max_b(self) -> int:
         return max((k[1] for k in self.terms), default=0)
@@ -154,21 +160,20 @@ class RingElem:
 
     # -- substitutions
     def subs(self, symbol: str, value) -> "RingElem":
-        """Substitute value (a RingElem, ParamPoly or rational) for g, b or r.
-
-        A free-g element takes a quotient-ring value into the value's ring.
-        """
+        """Substitute value (a RingElem in this ring, ParamPoly or rational) for
+        b or r.  g reaches a root through ExponentBranch.at_root instead."""
+        if symbol not in ("b", "r"):
+            raise ValueError(f"subs substitutes for b or r, got {symbol!r}")
         i = _SYMBOLS.index(symbol)
         if not isinstance(value, RingElem):
             value = RingElem.from_param(
                 value if isinstance(value, ParamPoly) else ParamPoly.rational(value),
                 self.modulus)
-        if self.modulus is not None:
-            self._check(value)
+        self._check(value)
         exponents = [key[i] for key in self.terms]
         if min(exponents, default=0) < 0:
             raise ValueError(f"cannot substitute for a negative power of {symbol}")
-        powers = [RingElem.one(value.modulus)]
+        powers = [RingElem.one(self.modulus)]
         for _ in range(max(exponents, default=0)):
             powers.append(powers[-1] * value)
         products = []
@@ -178,7 +183,7 @@ class RingElem:
             for (g, b, r, c), q in powers[key[i]].terms.items():
                 products.append(((rest[0] + g, rest[1] + b, rest[2] + r,
                                   tuple(sorted(key[3] + c)) if c else key[3]), p, q))
-        return _collect(products, value.modulus)
+        return _collect(products, self.modulus)
 
     # -- views
     def poly_in(self, symbol: str) -> dict[int, "RingElem"]:
@@ -591,15 +596,27 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
         """+-g^p realizing the root g^(2m+1) in the quotient ring."""
         return RingElem.gamma(self.gamma_power, self.k)
 
+    def at_root(self, elem: RingElem) -> RingElem:
+        """elem's image under g -> g^(2m+1), in the quotient ring.
+
+        The map sends each monomial to a monomial: a key's g-power p becomes
+        p(2m+1), and the constructor folds g^k = -1 and sums the keys that then
+        collide (at k = 3, m = 1 the root is g -> -1).  A free element's
+        negative g-power maps to the inverse of the image of g.
+        """
+        e = self.gamma_power
+        return RingElem({(g * e, b, r, c): p for (g, b, r, c), p in elem.terms.items()}, self.k)
+
     def substitute(self, elem: RingElem) -> RingElem:
-        """Substitute the known g, b, r, c_0, c_1, ... into elem in that order.
+        """Substitute the known g (by at_root), b, r, c_0, c_1, ... into elem in
+        that order.
 
         None stays symbolic; a surd rho reduces modulo its monic quadratic.  The
         known c_n go in one pass: the series is linear in the tail, so every term
         carries exactly one c_n, and every known value is c-free (_solve_c checks
         this), so a substituted value never brings in a c_j left to replace.
         """
-        elem = elem.subs("g", self.gamma)
+        elem = self.at_root(elem)
         if self.beta is not None:
             elem = elem.subs("b", self.beta)
         if self.rho is not None:
@@ -639,9 +656,7 @@ def _solve_beta(eq: RingElem, level: int) -> list[RingElem]:
             raise UnsolvableLevel(level, eq.text(),
                                   f"b^2 = {rhs.text()} has no monomial square root")
         return [root, -root]
-    if deg == 1:
-        return [(-poly.get(0, RingElem.zero(eq.modulus))).div_unit(poly[1])]
-    raise UnsolvableLevel(level, eq.text(), "no b present where b is expected")
+    return [(-poly.get(0, RingElem.zero(eq.modulus))).div_unit(poly[1])]
 
 
 def _scalarize(e: RingElem, level: int, what: str) -> ParamPoly:
@@ -661,10 +676,8 @@ def _solve_rho(eq: RingElem, level: int) -> list[QuadraticRoot]:
         b = _scalarize(poly.get(1, zero).div_unit(A), level, "monic r coefficient")
         c = _scalarize(poly.get(0, zero).div_unit(A), level, "monic constant")
         return QuadraticRoot.pair_from_monic(b, c)
-    if deg == 1:
-        val = _scalarize((-poly.get(0, zero)).div_unit(poly[1]), level, "r value")
-        return [QuadraticRoot(val)]
-    raise UnsolvableLevel(level, eq.text(), "no r present where r is expected")
+    val = _scalarize((-poly.get(0, zero)).div_unit(poly[1]), level, "r value")
+    return [QuadraticRoot(val)]
 
 
 def _solve_c(eq: RingElem, n: int, level: int) -> RingElem:
@@ -751,17 +764,15 @@ def solve_levels(levels: list[LevelEquation], k: int) -> list[ExponentBranch]:
         partial = nxt
 
     # root-major, and _advance keeps the beta and rho roots in solve order;
-    # root m of g^k = -1 is g^(2m+1)
-    roots = [RingElem.gamma(2 * m + 1, k) for m in range(k)]
-    branches = [br._replace(gamma_index=m, beta=br.beta.subs("g", groot),
-                            c=tuple(ci.subs("g", groot) for ci in br.c))
-                for m, groot in enumerate(roots) for br in partial]
+    # root m of g^k = -1 is g^(2m+1), and at_root takes beta and each c_n there
+    branches = [b._replace(beta=b.at_root(b.beta), c=tuple(map(b.at_root, b.c)))
+                for b in (br._replace(gamma_index=m) for m in range(k) for br in partial)]
 
     for br in branches[: max(1, len(branches) // k)]:
         # the m = 0 branches are the symbolic solution.  Every other branch
-        # is its image under the ring homomorphism g -> gamma, which keeps a
-        # zero level zero (it need not be an automorphism: at k = 3 one root
-        # is g -> -1)
+        # is its image under the ring homomorphism g -> g^(2m+1), which
+        # ExponentBranch.at_root applies and which keeps a zero level zero
+        # (it need not be an automorphism: at k = 3 one root is g -> -1)
         for lv in levels[:5]:
             residual = br.residual(lv)
             if residual:
@@ -793,9 +804,9 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
     """Extend the tail to c_1..c_n_max by consuming levels past the exponents.
 
     Level l is sum_n c_n L_(l-n)(g, b, r - n), so no shifted level is written
-    out: each c_0 part L_m takes gamma and beta once, in the quotient ring, and
-    is evaluated at r = rho - n.  Known c_n go in as values and unknown ones
-    stay symbolic, so _advance sees branch.residual(levels[l]).  Requires a
+    out: each c_0 part L_m goes to the branch's root by at_root and takes beta
+    once, in the quotient ring, and is evaluated at r = rho - n.  Known c_n go
+    in as values and unknown ones stay symbolic, so _advance sees branch.residual(levels[l]).  Requires a
     surd-free rho (the k=4 branches with sqrt(16-w^2) are refused: the tail
     would leave the rational quotient ring).
     """
@@ -813,7 +824,7 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
         if len(branch.c) > n_max:
             break
         while len(L) <= l:
-            L.append(parts[len(L)].subs("g", branch.gamma).subs("b", branch.beta))
+            L.append(branch.at_root(parts[len(L)]).subs("b", branch.beta))
         eq = _level_sum(L, l, branch.c, rho)
         if eq:
             (branch,) = _advance(branch, eq, l, n_max)

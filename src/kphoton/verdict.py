@@ -102,17 +102,15 @@ def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     return NormalizabilityReport(branch, sign)
 
 
-def symmetry_divergence(branch: ExponentBranch) -> bool:
+def symmetry_divergence(branch: ExponentBranch) -> bool | None:
     """Whether the z^k expectation integral diverges: k + 2 rho >= -1.
 
-    Only defined for real rational rho; a branch with a surd part is refused
+    Only assessed for real rational rho: a branch with a surd part gives None,
     because its realness depends on the parameters.
     """
     if not branch.rho.is_rational():
-        raise ValueError("symmetry divergence is only assessed for real "
-                         f"rational rho; got {branch.rho.text()}")
-    v = branch.rho.rational_value().constant_value()
-    return branch.k + 2 * v >= -1
+        return None
+    return branch.k + 2 * branch.rho.rational_value().constant_value() >= -1
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports t
                      "beta": rep.branch.beta.text(),
                      "rho": _rho_json(rep.branch, self.omega),
                      "normalizable": rep.normalizable,
-                     "symmetry_divergent": _divergent(rep.branch)}
+                     "symmetry_divergent": symmetry_divergence(rep.branch)}
                     for rep in self.reports]
         return {
             "k": self.k,
@@ -167,19 +165,11 @@ class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports t
             if d:
                 sign, unit = "-" if s < 0 else "+", "" if d > 0 else "i*"
                 rho += f" {sign} {unit}{abs(s)}*sqrt({abs(d)})"
-            div = _divergent(br)
+            div = symmetry_divergence(br)
             out += (f"gamma power {br.gamma_power}: beta = {br.beta.text()}, "
                     f"rho = {rho}, normalizable = {str(rep.normalizable).lower()}, "
                     f"symmetry divergent = {'n/a' if div is None else str(div).lower()}\n")
         return out + f"trace: {self.trace_ref()}\n"
-
-
-def _divergent(branch: ExponentBranch) -> bool | None:
-    """symmetry_divergence, or None where it is not assessed."""
-    try:
-        return symmetry_divergence(branch)
-    except ValueError:
-        return None
 
 
 def _rho_json(branch: ExponentBranch, omega: Fraction) -> dict:

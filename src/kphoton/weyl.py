@@ -253,10 +253,11 @@ class OperatorPoly:
         out: dict[tuple[int, int], ParamPoly] = {}
         for (a, b), p in self.terms.items():
             for (c, e), q in other.terms.items():
-                pq = p * q
+                # the weight C(b, l) c!/(c-l)! as a running product over l
+                pq, wt = p * q, 1
                 for l in range(min(b, c) + 1):
-                    accumulate(out, (a + c - l, b + e - l),
-                               pq.scale(math.comb(b, l) * math.perm(c, l)))
+                    accumulate(out, (a + c - l, b + e - l), pq.scale(wt))
+                    wt = wt * (b - l) * (c - l) // (l + 1)
         return OperatorPoly(out)
 
     def sorted_terms(self):

@@ -17,7 +17,9 @@ another way, kept here so that the package ships only what its commands run:
   check on asymptotics._c0_row and on the closed forms
   asymptotics.gf_coefficient and asymptotics.crho_closed.
 - subs_expanded: RingElem.subs by expanding value^n in plain dicts, term by
-  term, and folding g^k = -1 once, in the constructor, at the end.
+  term, and folding g^k = -1 once, in the constructor, at the end.  With
+  symbol "g" and the value g^(2m+1) it is also the check on
+  ExponentBranch.at_root, the map g -> g^(2m+1) as a shift of each key.
 - displaced_oscillator_oracle: the exact k = 1, delta = 0 spectrum, the check
   on fock.build_hkp and fock.lowest_eigenvalues.
 - numpy_chains: fock.build_hkp as elementwise numpy arrays, the build the

@@ -91,28 +91,69 @@ class TestRingElem:
                            st.sampled_from([W, -E, ParamPoly.rational(Fraction(3, 2)),
                                             W * E + ParamPoly.rational(Fraction(-1, 6))]),
                            max_size=6),
-           st.sampled_from("gbr"), st.integers(0, 4), st.integers(1, 3 * 4),
+           st.sampled_from("br"), st.integers(0, 4), st.integers(1, 3 * 4),
            st.sampled_from([1, -1, Fraction(-5, 3), W, W.scale(Fraction(2, 7)) + E]),
            st.booleans())
     def test_subs_matches_expansion(self, terms, symbol, kind, p, q, free):
-        # powers of the monomials +-g^p and q*g^p fold past k and past 2k;
-        # zero and a binomial are values too; a free-g element goes into the
-        # value's ring
+        # in the quotient ring, powers of the monomials +-g^p and q*g^p fold
+        # past k and past 2k; zero and a binomial are values too; the value
+        # is in x's ring, free or quotient
         k = 4
-        x = RingElem(terms, None if free else k)
+        ring = None if free else k
+        x = RingElem(terms, ring)
         q = q if isinstance(q, ParamPoly) else ParamPoly.rational(q)
-        value = [RingElem.gamma(p, k), scale(RingElem.gamma(p, k), q),
-                 RingElem.from_param(q, k), RingElem.zero(k),
-                 RingElem.gamma(p, k) + RingElem.from_param(q, k)][kind]
+        value = [RingElem.gamma(p, ring), scale(RingElem.gamma(p, ring), q),
+                 RingElem.from_param(q, ring), RingElem.zero(ring),
+                 RingElem.gamma(p, ring) + RingElem.from_param(q, ring)][kind]
         assert x.subs(symbol, value) == subs_expanded(x, symbol, value)
-        if not free:
-            assert x.subs(symbol, Fraction(-7, 4)) == subs_expanded(x, symbol, Fraction(-7, 4))
+        assert x.subs(symbol, Fraction(-7, 4)) == subs_expanded(x, symbol, Fraction(-7, 4))
 
     def test_subs_refuses_a_negative_power(self):
-        # a free-g element may hold g^-1; no power of the value stands for it
-        x = RingElem({(-1, 0, 0, ()): ParamPoly.rational(1)})
-        with pytest.raises(ValueError, match="negative power of g"):
+        # the constructor takes any integer key, r^-1 too; no power of the
+        # value stands for it
+        x = RingElem({(0, 0, -1, ()): ParamPoly.rational(1)}, 3)
+        with pytest.raises(ValueError, match="negative power of r"):
+            x.subs("r", RingElem.gamma(1, 3))
+
+    def test_subs_refuses_g(self):
+        # g reaches a root through ExponentBranch.at_root
+        x = RingElem.gamma(2, 3)
+        with pytest.raises(ValueError, match="b or r, got 'g'"):
             x.subs("g", RingElem.gamma(1, 3))
+
+    def test_subs_refuses_a_value_from_another_ring(self):
+        b = RingElem({(0, 1, 0, ()): ParamPoly.rational(1)})
+        with pytest.raises(ValueError, match="mixed ring moduli: None and 3"):
+            b.subs("b", RingElem.gamma(1, 3))
+        with pytest.raises(ValueError, match="mixed ring moduli: 3 and 4"):
+            b.reduce(3).subs("b", RingElem.gamma(1, 4))
+        with pytest.raises(ValueError, match="mixed ring moduli: 4 and None"):
+            b.reduce(4).subs("r", RingElem.gamma(1))
+
+    @pytest.mark.parametrize("k, m", [(k, m) for k in range(3, 7) for m in range(k)])
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(-3, 2 * 6 + 1), st.integers(0, 2),
+                                     st.integers(0, 2), st.sampled_from([(), (1,), (2,)])),
+                           st.sampled_from([W, -E, ParamPoly.rational(Fraction(3, 2)),
+                                            W * E + ParamPoly.rational(Fraction(-1, 6))]),
+                           max_size=6),
+           st.booleans())
+    def test_at_root_matches_substitution(self, k, m, terms, free):
+        # the key shift against substituting g^(2m+1) for g by expansion; at
+        # k = 3, m = 1 the root is g -> -1 and keys collide.  A free element
+        # may hold g^-1 and below, which subs_expanded cannot take: lifted by
+        # g^s it has none, and at_root must send g^-s to the inverse of g^s's
+        # image
+        branch = ExponentBranch(k, m, None, None)
+        root = RingElem.gamma(2 * m + 1, k)
+        x = RingElem(terms, None if free else k)
+        s = max(0, -min((key[0] for key in x.terms), default=0))
+        lifted = x * RingElem.gamma(s, x.modulus)
+        assert branch.at_root(lifted) == subs_expanded(lifted, "g", root)
+        inverse = branch.at_root(RingElem.gamma(-s))
+        assert branch.at_root(x) == branch.at_root(lifted) * inverse
+        assert inverse * branch.at_root(RingElem.gamma(s)) == RingElem.one(k)
+        assert branch.at_root(RingElem.gamma(1)) == branch.gamma
 
     def test_rem_rho_quadratic(self):
         # r^2 + 3r + 2 kills r = -1 and r = -2

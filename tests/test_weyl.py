@@ -306,7 +306,7 @@ class TestReducedOperator:
         }
         assert op.terms == expect
 
-    @pytest.mark.parametrize("k", [*range(2, 13), 32, 64])
+    @pytest.mark.parametrize("k", [*range(2, 13), 32, 64, 128])
     def test_against_op_mul_construction(self, k):
         # the package product of the model's factors A = w z Dz - E and
         # C = z^k + Dz^k against commutator rewriting; that the factors and
