@@ -115,12 +115,6 @@ class RingElem:
         if self.modulus != other.modulus:
             raise ValueError(f"mixed ring moduli: {self.modulus} and {other.modulus}")
 
-    def max_b(self) -> int:
-        return max((k[1] for k in self.terms), default=0)
-
-    def max_r(self) -> int:
-        return max((k[2] for k in self.terms), default=0)
-
     def c_indices(self) -> set[int]:
         out = set()
         for k in self.terms:
@@ -134,14 +128,9 @@ class RingElem:
         """No g, b, r or c content: a bare ParamPoly."""
         return all(k == (0, 0, 0, ()) for k in self.terms)
 
-    def scalar_part(self) -> ParamPoly:
-        if not self.is_scalar():
-            raise ValueError(f"not a scalar ring element: {self.text()}")
-        return self.terms.get((0, 0, 0, ()), P_ZERO)
-
     # -- arithmetic
     def __neg__(self):
-        return RingElem({k: -p for k, p in self.terms.items()}, self.modulus)
+        return RingElem._wrap({k: -p for k, p in self.terms.items()}, self.modulus)
 
     def __add__(self, other: "RingElem"):
         self._check(other)
@@ -197,7 +186,7 @@ class RingElem:
 
     def rem_rho_quadratic(self, b: ParamPoly, c: ParamPoly) -> "RingElem":
         """Remainder modulo r^2 + b r + c (so zero iff divisible)."""
-        top = self.max_r()
+        top = max((key[2] for key in self.terms), default=0)
         # r^e = u_e * r + v_e
         u = [P_ZERO, P_ONE]
         v = [P_ONE, P_ZERO]
@@ -639,45 +628,51 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
         return self.substitute(level.coeff.reduce(self.k))
 
 
-def _solve_beta(eq: RingElem, level: int) -> list[RingElem]:
-    poly = eq.poly_in("b")
+def _monic(eq: RingElem, symbol: str, level: int) -> list[RingElem]:
+    """eq as a monic polynomial in b or r of degree 1 or 2: the coefficients
+    of the powers below the lead, lowest first, each divided by the lead.
+
+    A level without the symbol, or of degree above 2 in it, is refused here.
+    """
+    poly = eq.poly_in(symbol)
     deg = max(poly)
+    if deg == 0:
+        raise UnsolvableLevel(level, eq.text(), f"nonzero level before {symbol} was determined")
     if deg > 2:
-        raise UnsolvableLevel(level, eq.text(), f"degree {deg} in b")
-    if deg == 2:
-        if 1 in poly:
-            raise UnsolvableLevel(level, eq.text(), "b-quadratic with linear term")
-        A, C = poly[2], poly.get(0, RingElem.zero(eq.modulus))
-        if C.is_zero():
-            return [RingElem.zero(eq.modulus)]   # double root b = 0
-        rhs = (-C).div_unit(A)
-        root = ring_sqrt(rhs)
-        if root is None:
-            raise UnsolvableLevel(level, eq.text(),
-                                  f"b^2 = {rhs.text()} has no monomial square root")
-        return [root, -root]
-    return [(-poly.get(0, RingElem.zero(eq.modulus))).div_unit(poly[1])]
+        raise UnsolvableLevel(level, eq.text(), f"degree {deg} in {symbol}")
+    zero = RingElem.zero(eq.modulus)
+    return [poly.get(i, zero).div_unit(poly[deg]) for i in range(deg)]
+
+
+def _solve_beta(eq: RingElem, level: int) -> list[RingElem]:
+    monic = _monic(eq, "b", level)
+    if len(monic) == 1:
+        return [-monic[0]]
+    c, linear = monic
+    if linear:
+        raise UnsolvableLevel(level, eq.text(), "b-quadratic with linear term")
+    if not c:
+        return [c]      # double root b = 0
+    root = ring_sqrt(-c)
+    if root is None:
+        raise UnsolvableLevel(level, eq.text(),
+                              f"b^2 = {(-c).text()} has no monomial square root")
+    return [root, -root]
 
 
 def _scalarize(e: RingElem, level: int, what: str) -> ParamPoly:
     if not e.is_scalar():
         raise UnsolvableLevel(level, e.text(), f"{what} is not a scalar")
-    return e.scalar_part()
+    return e.terms.get((0, 0, 0, ()), P_ZERO)
 
 
 def _solve_rho(eq: RingElem, level: int) -> list[QuadraticRoot]:
-    poly = eq.poly_in("r")
-    deg = max(poly)
-    if deg > 2:
-        raise UnsolvableLevel(level, eq.text(), f"degree {deg} in r")
-    zero = RingElem.zero(eq.modulus)
-    if deg == 2:
-        A = poly[2]
-        b = _scalarize(poly.get(1, zero).div_unit(A), level, "monic r coefficient")
-        c = _scalarize(poly.get(0, zero).div_unit(A), level, "monic constant")
-        return QuadraticRoot.pair_from_monic(b, c)
-    val = _scalarize((-poly.get(0, zero)).div_unit(poly[1]), level, "r value")
-    return [QuadraticRoot(val)]
+    monic = _monic(eq, "r", level)
+    if len(monic) == 1:
+        return [QuadraticRoot(_scalarize(-monic[0], level, "r value"))]
+    c, b = monic
+    return QuadraticRoot.pair_from_monic(_scalarize(b, level, "monic r coefficient"),
+                                         _scalarize(c, level, "monic constant"))
 
 
 def _solve_c(eq: RingElem, n: int, level: int) -> RingElem:
@@ -703,16 +698,14 @@ def _advance(branch: ExponentBranch, eq: RingElem, level: int,
     """Successors of branch after the nonzero substituted level eq.
 
     The elimination order is b, then r, then the lowest unknown c_n up to
-    c_n_max.  A c_n skipped by levels that vanished identically is left free:
-    it is pinned to 0 and recorded in resonant.
+    c_n_max.  b and r are read through _monic, which refuses a level that
+    lacks the unknown or is of degree above 2 in it.  A c_n skipped by levels
+    that vanished identically is left free: it is pinned to 0 and recorded in
+    resonant.
     """
     if branch.beta is None:
-        if not eq.max_b():
-            raise UnsolvableLevel(level, eq.text(), "nonzero level before b was determined")
         return [branch._replace(beta=b) for b in _solve_beta(eq, level)]
     if branch.rho is None:
-        if not eq.max_r():
-            raise UnsolvableLevel(level, eq.text(), "nonzero level before r was determined")
         return [branch._replace(rho=r, rho_index=i)
                 for i, r in enumerate(_solve_rho(eq, level))]
     unknown = eq.c_indices()

@@ -80,9 +80,11 @@ def _sign_x_plus_y_sqrt_d(x: Fraction, y: Fraction, d: Fraction) -> int:
     return (1 if x > 0 else -1) if lhs > rhs else (1 if y > 0 else -1)
 
 
-class NormalizabilityReport(namedtuple("NormalizabilityReport", "branch sign_vs_threshold")):
+class NormalizabilityReport(namedtuple("NormalizabilityReport", "branch sign_vs_threshold rho_at")):
     """Branch-level outcome of the Re(rho) < -1/2 test at rational omega:
-    sign_vs_threshold is the certified sign of Re(rho) + 1/2."""
+    sign_vs_threshold is the certified sign of Re(rho) + 1/2, and rho_at is
+    (r, s, d) = branch.rho.at(omega), rho = r + s*sqrt(d), which the report's
+    renderers print."""
 
     __slots__ = ()
     __hash__ = None     # its branch is unhashable
@@ -97,9 +99,9 @@ def normalizability(branch: ExponentBranch, omega) -> NormalizabilityReport:
     omega = Fraction(omega)
     if omega <= 0:
         raise ValueError("omega must be positive")
-    r, s, d = branch.rho.at(omega)
+    r, s, d = rho_at = branch.rho.at(omega)
     sign = _sign_x_plus_y_sqrt_d(r + Fraction(1, 2), s, max(d, 0))
-    return NormalizabilityReport(branch, sign)
+    return NormalizabilityReport(branch, sign, rho_at)
 
 
 def symmetry_divergence(branch: ExponentBranch) -> bool | None:
@@ -137,7 +139,7 @@ class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports t
     def to_json_obj(self) -> dict:
         branches = [{"gamma_power": rep.branch.gamma_power,
                      "beta": rep.branch.beta.text(),
-                     "rho": _rho_json(rep.branch, self.omega),
+                     "rho": _rho_json(*rep.rho_at),
                      "normalizable": rep.normalizable,
                      "symmetry_divergent": symmetry_divergence(rep.branch)}
                     for rep in self.reports]
@@ -160,7 +162,7 @@ class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports t
             out += "critical lines (theta/pi): " + ", ".join(map(str, self.lines)) + "\n"
         for rep in self.reports:
             br = rep.branch
-            r, s, d = br.rho.at(self.omega)
+            r, s, d = rep.rho_at
             rho = str(r)
             if d:
                 sign, unit = "-" if s < 0 else "+", "" if d > 0 else "i*"
@@ -172,8 +174,7 @@ class VerdictReport(namedtuple("VerdictReport", "k omega delta verdict reports t
         return out + f"trace: {self.trace_ref()}\n"
 
 
-def _rho_json(branch: ExponentBranch, omega: Fraction) -> dict:
-    r, s, d = branch.rho.at(omega)
+def _rho_json(r: Fraction, s: Fraction, d: Fraction) -> dict:
     if d == 0:
         return {"re": str(r)}
     return {"re": str(r), "surd" if d > 0 else "im": {"coeff": str(s), "disc": str(abs(d))}}

@@ -15,6 +15,7 @@ from kphoton.asymptotics import (
     UnsolvableLevel,
     _advance,
     _c0_row,
+    _monic,
     _solve_beta,
     _solve_c,
     _solve_rho,
@@ -80,7 +81,7 @@ class TestRingElem:
         k = 5
         b = RingElem({(0, 1, 0, ()): ParamPoly.rational(1)}, k)
         expr = b * scale(b, 3) + RingElem.gamma(2, k)
-        assert expr.max_b() == 2
+        assert max(expr.poly_in("b")) == 2
         val = G(3, k)
         got = expr.subs("b", val)
         assert got == val * val * scale(RingElem.one(k), 3) + RingElem.gamma(2, k)
@@ -438,7 +439,7 @@ class TestSolveLevels:
         for b in branches:
             prod = b.beta * scale(b.gamma, 3)
             assert prod.is_scalar()
-            assert prod.scalar_part() in (W, -W)
+            assert prod.terms[(0, 0, 0, ())] in (W, -W)
 
     def test_k3_gamma_roots(self):
         roots = [ExponentBranch(3, m, None, None).gamma for m in range(3)]
@@ -512,10 +513,10 @@ class TestSolveC:
         assert info.value.residual == "w*c3"
 
 
-def _refusal(solve, *args) -> str:
+def _refusal(solve, *args) -> tuple[str, int, str]:
     with pytest.raises(UnsolvableLevel) as info:
         solve(*args)
-    return info.value.reason
+    return info.value.reason, info.value.level, info.value.residual
 
 
 class TestSolverBranches:
@@ -533,26 +534,77 @@ class TestSolverBranches:
 
     def test_beta_quadratic_with_linear_term_refused(self):
         eq = self.elem({(0, 2, 0, ()): 1, (0, 1, 0, ()): 1, (0, 0, 0, ()): 1})
-        assert _refusal(_solve_beta, eq, 2) == "b-quadratic with linear term"
+        assert _refusal(_solve_beta, eq, 2) == (
+            "b-quadratic with linear term", 2, "1 + b + b^2")
+
+    def test_beta_quadratic_with_linear_term_refused_past_a_unit_lead(self):
+        # 2g*b^2 + b: the linear term survives division by the lead
+        eq = self.elem({(1, 2, 0, ()): 2, (0, 1, 0, ()): 1})
+        assert _refusal(_solve_beta, eq, 3) == (
+            "b-quadratic with linear term", 3, "b + 2*g1*b^2")
+
+    def test_beta_double_root_zero(self):
+        eq = self.elem({(1, 2, 0, ()): 3})
+        assert _solve_beta(eq, 2) == [RingElem.zero(3)]
+
+    @pytest.mark.parametrize("terms, rhs, residual", [
+        ({(0, 2, 0, ()): 1, (0, 0, 0, ()): -2}, "2", "-2 + b^2"),
+        ({(0, 2, 0, ()): 1, (1, 0, 0, ()): 1, (0, 0, 0, ()): 1}, "-1 - g1", "1 + g1 + b^2"),
+    ])
+    def test_beta_square_root_refused(self, terms, rhs, residual):
+        # b^2 = 2 has no rational root; b^2 = -1 - g is not a monomial
+        assert _refusal(_solve_beta, self.elem(terms), 2) == (
+            f"b^2 = {rhs} has no monomial square root", 2, residual)
 
     def test_beta_cubic_refused(self):
         eq = self.elem({(0, 3, 0, ()): 1, (0, 0, 0, ()): 1})
-        assert _refusal(_solve_beta, eq, 2) == "degree 3 in b"
+        assert _refusal(_solve_beta, eq, 2) == ("degree 3 in b", 2, "1 + b^3")
 
     def test_rho_cubic_refused(self):
         eq = self.elem({(0, 0, 3, ()): 1, (0, 0, 0, ()): 1})
-        assert _refusal(_solve_rho, eq, 4) == "degree 3 in r"
+        assert _refusal(_solve_rho, eq, 4) == ("degree 3 in r", 4, "1 + r^3")
 
     def test_rho_monic_constant_with_g_refused(self):
         # r^2 + g: the monic constant is not a parameter polynomial; refused
         # for as long as rho must lie in Q(w, d, E) plus a surd
         eq = self.elem({(0, 0, 2, ()): 1, (1, 0, 0, ()): 1})
-        assert _refusal(_solve_rho, eq, 4) == "monic constant is not a scalar"
+        assert _refusal(_solve_rho, eq, 4) == ("monic constant is not a scalar", 4, "g1")
+
+    def test_rho_monic_r_coefficient_with_g_refused(self):
+        # 2r^2 + g*r + 1: the residual is the monic r coefficient g/2
+        eq = self.elem({(0, 0, 2, ()): 2, (1, 0, 1, ()): 1, (0, 0, 0, ()): 1})
+        assert _refusal(_solve_rho, eq, 4) == (
+            "monic r coefficient is not a scalar", 4, "1/2*g1")
+
+    def test_rho_value_with_g_refused(self):
+        # 2r + g = 0: the residual is the value r = -g/2
+        eq = self.elem({(0, 0, 1, ()): 2, (1, 0, 0, ()): 1})
+        assert _refusal(_solve_rho, eq, 3) == ("r value is not a scalar", 3, "-1/2*g1")
+
+    def test_monic_divides_by_the_lead(self):
+        # 2g*r^2 + 4r + 6 over 2g, with 1/g = -g^2 at k = 3
+        eq = self.elem({(1, 0, 2, ()): 2, (0, 0, 1, ()): 4, (0, 0, 0, ()): 6})
+        assert _monic(eq, "r", 4) == [G(2, 3, -3), G(2, 3, -2)]
+        assert _monic(self.elem({(0, 1, 0, ()): 2, (0, 0, 0, ()): 1}), "b", 1) == [
+            scale(RingElem.one(3), Fraction(1, 2))]
+
+    def test_monic_needs_a_unit_lead(self):
+        # (1 + g)*b^2: every coefficient is divided, a zero one included
+        eq = self.elem({(0, 2, 0, ()): 1, (1, 2, 0, ()): 1})
+        with pytest.raises(DivisionByNonUnit):
+            _monic(eq, "b", 2)
 
     def test_advance_needs_b_first(self):
         partial = ExponentBranch(3, 0, None, None, c=(RingElem.one(3),))
         eq = self.elem({(0, 0, 1, ()): 1})
-        assert _refusal(_advance, partial, eq, 1, 4) == "nonzero level before b was determined"
+        assert _refusal(_advance, partial, eq, 1, 4) == (
+            "nonzero level before b was determined", 1, "r")
+
+    def test_advance_needs_r_after_b(self):
+        partial = ExponentBranch(3, 0, RingElem.zero(3), None, c=(RingElem.one(3),))
+        eq = self.elem({(1, 0, 0, ()): 1, (0, 0, 0, (1,)): 1})
+        assert _refusal(_advance, partial, eq, 3, 4) == (
+            "nonzero level before r was determined", 3, "c1 + g1")
 
     def test_square_content_brute_force(self):
         for n in range(-5000, 5001):

@@ -181,6 +181,12 @@ class TestNormalizability:
         roots = {r.branch.rho.at(1) for r in reps}
         assert roots == {(F(-5, 2), F(1, 4), F(15)), (F(-5, 2), F(-1, 4), F(15))}
 
+    @pytest.mark.parametrize("k, omega", [(3, 1), (4, 1), (4, 4), (4, 5), (7, F(3, 2))])
+    def test_report_keeps_rho_at_omega(self, k, omega):
+        _, branches = exponent_pipeline(k)
+        for b in branches:
+            assert normalizability(b, omega).rho_at == b.rho.at(F(omega))
+
     def test_synthetic_boundary_and_failures(self):
         ok = normalizability(_branch(3, 0, RingElem.zero(3), _rational_rho(-2)), 1)
         assert ok.normalizable
@@ -308,6 +314,18 @@ class TestVerdict:
         assert set(double) == {"re"} and double["re"] == "-5/2"
         cplx = verdict(4, 5, 0).to_json_obj()["branches"][0]["rho"]
         assert set(cplx) == {"re", "im"} and cplx["im"]["disc"] == "9"
+
+    def test_rho_evaluated_once_per_branch(self, monkeypatch):
+        # normalizability evaluates each rho at omega once; text() and
+        # to_json_obj() print the report's stored (r, s, d)
+        calls = []
+        at = QuadraticRoot.at
+        monkeypatch.setattr(QuadraticRoot, "at",
+                            lambda root, omega: calls.append(root) or at(root, omega))
+        rep = verdict(12, 3, 0)
+        rep.text()
+        rep.to_json_obj()
+        assert len(calls) == len(rep.reports) == 24
 
     def test_k4_symmetry_divergent_is_null(self):
         obj = verdict(4, 1, 0).to_json_obj()
