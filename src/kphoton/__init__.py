@@ -20,11 +20,11 @@ class UnsolvableLevel(Exception):
         super().__init__(f"level {level}: {reason} (residual: {residual})")
 
 
-class DivisionByNonUnit(Exception):
+class DivisionByNonUnit(RuntimeError):
     """Quotient-ring division was demanded by an element that is not q*mono*g^j."""
 
 
-class OutOfScope(Exception):
+class OutOfScope(ValueError):
     """Requested k lies outside the asymptotic theory implemented here."""
 
 

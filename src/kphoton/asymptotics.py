@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 from . import DivisionByNonUnit, OutOfScope, UnsolvableLevel
 from .weyl import (OperatorPoly, P_ONE, P_ZERO, ParamPoly, a_coeff, accumulate,
-                   build_reduced_operator)
+                   build_reduced_operator, product_text, signed_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +217,18 @@ class RingElem:
                          for (g1, b1, r1, c1), p1 in self.terms.items()), self.modulus)
 
     # -- rendering
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0][:3]) + len(t[0][3]), t[0]))
-
     def text(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for (g, b, r, c), p in self.sorted_terms():
-            factors = []
-            if g:
-                factors.append(f"g{g}")
+        for (g, b, r, c), p in sorted(self.terms.items(),
+                                      key=lambda t: (sum(t[0][:3]) + len(t[0][3]), t[0])):
+            factors = [f"g{g}"] if g else []
             if b:
                 factors.append("b" if b == 1 else f"b^{b}")
             if r:
                 factors.append("r" if r == 1 else f"r^{r}")
             factors.extend(f"c{i}" for i in c)
-            coeff = p.text()
-            if not factors:
-                parts.append(coeff)
-            elif coeff == "1":
-                parts.append("*".join(factors))
-            elif coeff == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                if " " in coeff:
-                    coeff = f"({coeff})"
-                parts.append("*".join([coeff] + factors))
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+            parts.append(product_text(p.text(), factors))
+        return signed_sum(parts)
 
     def __repr__(self):
         mod = f", mod g^{self.modulus}+1" if self.modulus else ""
@@ -346,9 +327,6 @@ class LevelEquation(namedtuple("LevelEquation", "level parts")):
     def coeff(self) -> RingElem:
         """The level as a RingElem: every term carries exactly one c_n."""
         return _level_sum(self.parts, self.level, (), RingElem({(0, 0, 1, ()): P_ONE}))
-
-    def text(self) -> str:
-        return self.coeff.text()
 
 
 def _level_sum(L, l: int, c: tuple, r: RingElem) -> RingElem:
@@ -480,20 +458,17 @@ def _square_content(n: int) -> int:
     return s
 
 
-class QuadraticRoot:
+class QuadraticRoot(namedtuple("QuadraticRoot", "rational surd disc",
+                               defaults=(P_ZERO, P_ZERO))):
     """One root rational + surd*sqrt(disc) of a monic quadratic in r.
 
     All three components are ParamPoly values; disc is normalized to integer
     content free of square factors (a perfect-square disc is folded away, so
     rational roots always have surd = 0).  The quadratic is not stored:
-    monic() rebuilds it from the root.
+    monic() rebuilds it from the root.  Equal roots hash equal.
     """
 
-    __slots__ = ("rational", "surd", "disc")
-
-    def __init__(self, rational: ParamPoly, surd: ParamPoly = P_ZERO,
-                 disc: ParamPoly = P_ZERO):
-        self.rational, self.surd, self.disc = rational, surd, disc
+    __slots__ = ()
 
     @classmethod
     def pair_from_monic(cls, b: ParamPoly, c: ParamPoly) -> list["QuadraticRoot"]:
@@ -535,26 +510,14 @@ class QuadraticRoot:
                     raise ValueError(f"{what} unexpectedly depends on {name}")
         return tuple(p.evaluate(omega, 0, 0) for p in (r, s, d))
 
-    def rational_value(self) -> ParamPoly:
-        if not self.is_rational():
-            raise ValueError("root has a surd part")
-        return self.rational
-
     def text(self) -> str:
         if self.is_rational():
             return self.rational.text()
-        s = self.surd.text()
-        if "-" in s:
-            return f"{self.rational.text()} - {s[1:]}*sqrt({self.disc.text()})"
-        return f"{self.rational.text()} + {s}*sqrt({self.disc.text()})"
+        return signed_sum([self.rational.text(),
+                           product_text(self.surd.text(), [f"sqrt({self.disc.text()})"])])
 
     def __repr__(self):
         return f"QuadraticRoot({self.text()})"
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticRoot)
-                and self.rational == other.rational and self.surd == other.surd
-                and self.disc == other.disc)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +536,7 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
     """
 
     __slots__ = ()
-    __hash__ = None     # RingElem and QuadraticRoot are unhashable
+    __hash__ = None     # beta and the c_n are RingElems, which are unhashable
 
     @property
     def gamma_power(self) -> int:
@@ -610,7 +573,7 @@ class ExponentBranch(namedtuple("ExponentBranch", "k gamma_index beta rho c rho_
             elem = elem.subs("b", self.beta)
         if self.rho is not None:
             if self.rho.is_rational():
-                elem = elem.subs("r", self.rho.rational_value())
+                elem = elem.subs("r", self.rho.rational)
             else:
                 elem = elem.rem_rho_quadratic(*self.rho.monic())
         products = []
@@ -785,7 +748,7 @@ def exponent_pipeline(k: int) -> tuple[tuple[LevelEquation, ...], tuple[Exponent
     levels = substitute_ansatz(build_reduced_operator(k), k, 5)
     branches = solve_levels(levels, k)
     for b in branches:
-        if any(p.uses(n) for p in (b.rho.rational, b.rho.surd, b.rho.disc) for n in "Ed"):
+        if any(p.uses(n) for p in b.rho for n in "Ed"):
             raise RuntimeError("exponent depends on E or Delta")
         if any(b.beta.uses_param(n) for n in "Ed"):
             raise RuntimeError("beta depends on E or Delta")
@@ -811,7 +774,7 @@ def c_recursion(branch: ExponentBranch, levels: list[LevelEquation],
         raise ValueError("tail recursion needs a rational rho branch; "
                          f"got {branch.rho.text()}")
     k, parts = branch.k, levels[0].parts
-    rho = RingElem.from_param(branch.rho.rational_value(), k)
+    rho = RingElem.from_param(branch.rho.rational, k)
     L: list[RingElem] = []     # L[m]: L_m(gamma, beta, r), built as levels reach m
     for l in range(5, len(levels)):
         if len(branch.c) > n_max:

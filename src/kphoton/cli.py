@@ -14,9 +14,11 @@ but none of the exact modules and neither numpy nor scipy.  Of scipy's files,
 only sweep's eigensolves open one: the LAPACK library that the compiled
 scipy.linalg._flapack extension links, through ctypes, after the BLAS thread
 count below is set.  main maps the exact half's errors to exit codes by
-type; they are defined on the package, so catching them loads no exact
-module.  Only public names of the other package modules are used.  json
-loads only for JSON output, and fractions only to read a rational.
+base class: OutOfScope is a ValueError (exit 2) and DivisionByNonUnit a
+RuntimeError (exit 3).  UnsolvableLevel, which prints its level and
+residual, is defined on the package, so catching it loads no exact module.
+Only public names of the other package modules are used.  json loads only
+for JSON output, and fractions only to read a rational.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import re
 import sys
 
-from . import DivisionByNonUnit, OutOfScope, UnsolvableLevel
+from . import UnsolvableLevel
 
 # Nothing here calls threaded BLAS: the exact subcommands use rationals and
 # sweep bisects tridiagonal chains with LAPACK's dstebz, from the OpenBLAS
@@ -326,14 +328,14 @@ def main(argv=None) -> int:
         text = ns.func(ns)
         if ns.output:
             _write_atomic(ns.output, text)
-    except (CliError, OutOfScope, ValueError) as exc:   # ValueError: domain validation
+    except (CliError, ValueError) as exc:   # ValueError: domain validation, OutOfScope
         print(f"kphoton: {exc}", file=sys.stderr)
         return 2
     except UnsolvableLevel as exc:
         print(f"kphoton: unsolvable level {exc.level}: {exc.reason}; "
               f"residual: {exc.residual}", file=sys.stderr)
         return 3
-    except (DivisionByNonUnit, RuntimeError) as exc:
+    except RuntimeError as exc:     # DivisionByNonUnit among them
         print(f"kphoton: solver failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -112,7 +112,7 @@ def symmetry_divergence(branch: ExponentBranch) -> bool | None:
     """
     if not branch.rho.is_rational():
         return None
-    return branch.k + 2 * branch.rho.rational_value().constant_value() >= -1
+    return branch.k + 2 * branch.rho.rational.constant_value() >= -1
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def _rho_json(r: Fraction, s: Fraction, d: Fraction) -> dict:
 def _build_trace(k, levels, branches) -> dict:
     return {
         "k": k,
-        "levels": [{"level": lv.level, "coeff": lv.text()} for lv in levels],
+        "levels": [{"level": lv.level, "coeff": lv.coeff.text()} for lv in levels],
         "branches": [
             {
                 "gamma_power": b.gamma_power,

@@ -183,28 +183,17 @@ class ParamPoly:
         return total / self.den
 
     def text(self) -> str:
-        """Canonical rendering: graded order, lowest total degree first."""
-        if not self.num:
-            return "0"
+        """Canonical rendering: graded order, lowest total degree first, then
+        the higher w, d, E exponent first."""
         parts = []
-        for e, c in sorted(self.num.items(), key=lambda t: (sum(t[0]), tuple(-x for x in t[0]))):
-            factors = [f"{n}^{x}" if x != 1 else n
-                       for n, x in zip(PARAM_NAMES, e) if x]
+        for e, c in sorted(self.num.items(),
+                           key=lambda t: (sum(t[0]), -t[0][0], -t[0][1], -t[0][2])):
             g = math.gcd(c, self.den)
             mag, den = abs(c) // g, self.den // g
-            mag_text = str(mag) if den == 1 else f"{mag}/{den}"
-            if not factors:
-                body = mag_text
-            elif mag == 1 and den == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([mag_text] + factors)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            coeff = ("-" if c < 0 else "") + (str(mag) if den == 1 else f"{mag}/{den}")
+            parts.append(product_text(coeff, [f"{n}^{x}" if x != 1 else n
+                                              for n, x in zip(PARAM_NAMES, e) if x]))
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"ParamPoly({self.text()})"
@@ -221,6 +210,24 @@ def _canonical(num: dict, den: int) -> tuple[dict, int]:
             num = {e: c // g for e, c in num.items()}
             den //= g
     return num, den
+
+
+def signed_sum(parts: list[str]) -> str:
+    """Rendered terms joined by " + ", a term's leading "-" read as " - ";
+    "0" for no terms.  The one sign-folding rule of docs/grammar.md."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join([f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in parts[1:]])
+
+
+def product_text(coeff: str, factors: list[str]) -> str:
+    """coeff*f1*f2*...: a coefficient 1 or -1 leaves only its sign, and one
+    with a space (a sum) is parenthesized; coeff alone without factors."""
+    if not factors:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + "*".join(factors)
+    return "*".join([f"({coeff})" if " " in coeff else coeff, *factors])
 
 
 P_ZERO = ParamPoly()
@@ -264,6 +271,8 @@ class OperatorPoly:
         return sorted(self.terms.items())
 
     def text(self) -> str:
+        # not signed_sum and product_text: terms join by " + " unfolded and
+        # keep an explicit -1*, the form the pinned ode output has
         if not self.terms:
             return "0"
         rows = []

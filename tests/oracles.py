@@ -37,6 +37,10 @@ another way, kept here so that the package ships only what its commands run:
 - scale (of a quotient-ring element) and satisfies_quadratic: the builder
   of expected ring elements, and the exact back-substitution of an
   asymptotics.QuadraticRoot into a given quadratic.
+- grammar_text: ParamPoly, RingElem and QuadraticRoot text written from the
+  rules of docs/grammar.md, term by term off the Fraction view, the check on
+  the package's renderers and their shared weyl.signed_sum and
+  weyl.product_text.
 
 Tests import them as ``from oracles import ...``: pytest puts this directory
 on sys.path because it holds test modules and no __init__.py.
@@ -72,6 +76,59 @@ def satisfies_quadratic(root: QuadraticRoot, b, c) -> bool:
              + b * root.rational + c)
     mixed = (root.rational.scale(2) + b) * root.surd
     return plain.is_zero() and mixed.is_zero()
+
+
+def grammar_text(x: ParamPoly | RingElem | QuadraticRoot) -> str:
+    """x rendered by the rules of docs/grammar.md.
+
+    Every value is a flat list of signed terms (negative, body).  A ring term
+    whose coefficient is one parameter term is that monomial with the ring
+    atoms appended, a multi-term coefficient is parenthesized, and a term
+    without atoms is its coefficient's own terms.  The first term carries its
+    sign as a leading "-"; the others join by " + " or " - ".
+    """
+    if isinstance(x, ParamPoly):
+        terms = _param_terms(x)
+    elif isinstance(x, RingElem):
+        terms = []
+        for key in sorted(x.terms, key=lambda t: (sum(t[:3]) + len(t[3]), t)):
+            (g, b, r, c), p = key, x.terms[key]
+            atoms = [f"g{g}"] * bool(g) + [_power(n, e) for n, e in (("b", b), ("r", r)) if e]
+            terms += _ring_terms(p, atoms + [f"c{i}" for i in c])
+    elif x.surd:
+        terms = (_param_terms(x.rational) or [(False, "0")]) + _ring_terms(
+            x.surd, [f"sqrt({grammar_text(x.disc)})"])
+    else:
+        terms = _param_terms(x.rational)
+    if not terms:
+        return "0"
+    (neg, body), rest = terms[0], terms[1:]
+    return "-" * neg + body + "".join((" - " if n else " + ") + t for n, t in rest)
+
+
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _param_terms(p: ParamPoly) -> list[tuple[bool, str]]:
+    # graded: ascending total degree, then the higher w, d, E exponent first
+    out = []
+    for e in sorted(p.terms, key=lambda e: (sum(e), [-x for x in e])):
+        v = p.terms[e]
+        mag = str(abs(v.numerator)) + (f"/{v.denominator}" if v.denominator > 1 else "")
+        factors = [_power(n, x) for n, x in zip("wdE", e) if x]
+        out.append((v < 0, "*".join(factors if factors and abs(v) == 1 else [mag, *factors])))
+    return out
+
+
+def _ring_terms(p: ParamPoly, atoms: list[str]) -> list[tuple[bool, str]]:
+    terms = _param_terms(p)
+    if not atoms:
+        return terms
+    if len(terms) > 1:
+        return [(False, "*".join([f"({grammar_text(p)})", *atoms]))]
+    (neg, body), = terms
+    return [(neg, "*".join(atoms if body == "1" else [body, *atoms]))]
 
 
 @cache

@@ -105,7 +105,7 @@ def test_criterion_2_exponents_k3():
             w = type(b.gamma).from_param(ParamPoly.omega(), 3)
             assert (three_bg + (-w)).is_zero() or (three_bg + w).is_zero()
             assert b.rho.is_rational()
-            assert b.rho.rational_value().constant_value() == F(-2)
+            assert b.rho.rational.constant_value() == F(-2)
             # symbolic parameters never entered the exponents
             for name in ("w", "d", "E"):
                 assert not b.rho.rational.uses(name)
@@ -159,9 +159,9 @@ def test_criterion_4_exponents_k5_to_12():
                     for poly in (b.rho.rational, b.rho.surd, b.rho.disc):
                         assert not poly.uses(name)
                 assert b.rho.is_rational()
-                assert b.rho.rational_value().constant_value() in roots
+                assert b.rho.rational.constant_value() in roots
             for m in range(k):
-                got = {b.rho.rational_value().constant_value()
+                got = {b.rho.rational.constant_value()
                        for b in branches if b.gamma_index == m}
                 assert got == roots
 
@@ -205,7 +205,7 @@ def test_criterion_6_verdict_grid():
             elif k >= 5:
                 plus = F(1 - k, 2)
                 for r in rep.reports:
-                    v = r.branch.rho.rational_value().constant_value()
+                    v = r.branch.rho.rational.constant_value()
                     assert symmetry_divergence(r.branch) == (v == plus)
 
 

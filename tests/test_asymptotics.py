@@ -23,13 +23,14 @@ from kphoton.asymptotics import (
     assemble_final_quadratic,
     c_recursion,
     crho_closed,
+    exponent_pipeline,
     gf_coefficient,
     rho_quadratic_general,
     ring_sqrt,
     solve_levels,
     substitute_ansatz,
 )
-from kphoton.weyl import OperatorPoly, ParamPoly, build_reduced_operator
+from kphoton.weyl import P_ZERO, OperatorPoly, ParamPoly, build_reduced_operator
 from oracles import c0_derivatives, leibniz_hermite_table, satisfies_quadratic, scale, subs_expanded
 
 W = ParamPoly.omega()
@@ -241,13 +242,13 @@ class TestQuadraticRoot:
     def test_perfect_square_disc_gives_rationals(self):
         plus, minus = QuadraticRoot.pair_from_monic(ParamPoly.rational(7),
                                                     ParamPoly.rational(10))
-        assert plus.is_rational() and plus.rational_value().constant_value() == -2
-        assert minus.rational_value().constant_value() == -5
+        assert plus.is_rational() and plus.rational.constant_value() == -2
+        assert minus.rational.constant_value() == -5
 
     def test_double_root(self):
         roots = QuadraticRoot.pair_from_monic(ParamPoly.rational(4),
                                               ParamPoly.rational(4))
-        assert len(roots) == 1 and roots[0].rational_value().constant_value() == -2
+        assert len(roots) == 1 and roots[0].rational.constant_value() == -2
 
     def test_equality_reads_every_field(self):
         r, s, d = ParamPoly.rational(-2), ParamPoly.rational(1), ParamPoly.rational(3)
@@ -256,6 +257,17 @@ class TestQuadraticRoot:
         for other in (QuadraticRoot(-r, s, d), QuadraticRoot(r, -s, d),
                       QuadraticRoot(r, s, d + d)):
             assert QuadraticRoot(r, s, d) != other
+
+    def test_equal_roots_hash_equal(self):
+        r, s, d = ParamPoly.rational(-2), ParamPoly.rational(1), ParamPoly.rational(3)
+        assert hash(QuadraticRoot(r, s, d)) == hash(QuadraticRoot(-(-r), s, d + P_ZERO))
+        assert hash(QuadraticRoot(r)) == hash(QuadraticRoot(r, ParamPoly(), ParamPoly()))
+        assert len({QuadraticRoot(r, s, d), QuadraticRoot(r, s, d), QuadraticRoot(r)}) == 2
+
+    @pytest.mark.parametrize("k, distinct", [(3, 1), *((k, 2) for k in range(4, 13)), (64, 2)])
+    def test_roots_key_a_set(self, k, distinct):
+        # the 2k branches (k at k = 3) share this many rho
+        assert len({b.rho for b in exponent_pipeline(k)[1]}) == distinct
 
     @settings(max_examples=60, deadline=None)
     @given(st.fractions(min_value=-50, max_value=50, max_denominator=8),
@@ -402,7 +414,7 @@ class TestSubstituteAnsatz:
         (6, "e8d9ca2d368c4a04d43de88123189c4041f0968b4978df88db813073d18540ea"),
     ])
     def test_depth16_levels_pinned(self, k, digest):
-        text = "\n".join(lv.text() for lv in levels_for(k, 16))
+        text = "\n".join(lv.coeff.text() for lv in levels_for(k, 16))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -423,7 +435,7 @@ class TestSolveLevels:
         # every branch: rho = -2 exactly
         for b in branches:
             assert b.rho.is_rational()
-            assert b.rho.rational_value().constant_value() == -2
+            assert b.rho.rational.constant_value() == -2
         # beta = +-(w/3) g^2 instantiated per root; for the root gamma = -1
         # (index m=1) this is +-w/3
         w3 = RingElem.from_param(W.scale(Fraction(1, 3)), 3)
@@ -470,7 +482,7 @@ class TestSolveLevels:
             assert b.beta.is_zero()
             assert satisfies_quadratic(b.rho, gb, gc)
             assert b.rho.is_rational()
-        vals = {b.rho.rational_value().constant_value() for b in branches}
+        vals = {b.rho.rational.constant_value() for b in branches}
         assert vals == {Fraction(1 - k, 2), Fraction(5 - 3 * k, 2)}
         assert all(v < Fraction(-1, 2) for v in vals)
 
@@ -729,7 +741,7 @@ class TestCRecursion:
                 lines.append(f"{head} resonant={ext.resonant}")
                 lines.extend(c.text() for c in ext.c)
             if k % 3 == 0:
-                lines.extend(lv.text() for lv in levels)
+                lines.extend(lv.coeff.text() for lv in levels)
             digest.update("\n".join(lines).encode() + b"\n")
         assert digest.hexdigest() == (
             "5f081d40fc23f21742000c0df58468f531b752bae74f2f962ebba901cd4c5f7e")

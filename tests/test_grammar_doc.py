@@ -1,11 +1,16 @@
-"""The rendering examples in docs/grammar.md are what the objects render."""
+"""The rendering examples in docs/grammar.md are what the objects render,
+and random values render as the document's rules say."""
 
 import re
 from fractions import Fraction
 from pathlib import Path
 
-from kphoton.asymptotics import solve_levels, substitute_ansatz
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kphoton.asymptotics import QuadraticRoot, RingElem, solve_levels, substitute_ansatz
 from kphoton.weyl import ParamPoly, build_reduced_operator
+from oracles import grammar_text
 
 GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "grammar.md"
 
@@ -27,7 +32,7 @@ def _renderings() -> list[list[str]]:
     return [
         [param.text()],
         [op.text()],
-        [levels[1].text(), c1.text()],
+        [levels[1].coeff.text(), c1.text()],
         [br.rho.text() for br in k4],
     ]
 
@@ -44,3 +49,32 @@ def test_doc_renderings_are_byte_identical():
     # the operator example is folded over two lines in the document
     blocks[1] = [" ".join(blocks[1])]
     assert blocks[:-1] == _renderings()
+
+
+# magnitudes 1 and 1/n are the ones the rules treat apart
+_COEFF = st.one_of(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 7)]),
+                   st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 12)))
+_PARAM = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 3), _COEFF, max_size=5).map(ParamPoly)
+_RING_KEY = st.tuples(st.integers(0, 11), st.integers(0, 3), st.integers(0, 3),
+                      st.lists(st.integers(0, 5), max_size=2).map(lambda c: tuple(sorted(c))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PARAM)
+def test_param_poly_renders_by_the_rules(p):
+    assert p.text() == grammar_text(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_RING_KEY, _PARAM, max_size=6), st.sampled_from([None, 3, 4, 5, 7]))
+def test_ring_elem_renders_by_the_rules(terms, modulus):
+    # modulus None is a free element, whose g-powers may pass k
+    x = RingElem(terms, modulus)
+    assert x.text() == grammar_text(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PARAM, _PARAM, _PARAM)
+def test_quadratic_root_renders_by_the_rules(rational, surd, disc):
+    root = QuadraticRoot(rational, surd, disc)
+    assert root.text() == grammar_text(root)

@@ -225,7 +225,7 @@ class TestSymmetryDivergence:
         plus, minus = F(1 - k, 2), F(5 - 3 * k, 2)
         seen = set()
         for b in branches:
-            v = b.rho.rational_value().constant_value()
+            v = b.rho.rational.constant_value()
             seen.add(v)
             assert symmetry_divergence(b) == (v == plus)
         assert seen == {plus, minus}
